@@ -164,7 +164,7 @@ def circulant_inverse(row: Row) -> Row:
     return tuple(r[0] for r in col)
 
 
-def _add_scalar(row: Row, c) -> Row:
+def add_scalar(row: Row, c) -> Row:
     """Row of circ(row) + c·I."""
     return (row[0] + c,) + tuple(row[1:])
 
@@ -179,29 +179,39 @@ def compute_N(p: ConferencePair, a: Rational, b: Rational, alpha: int) -> Row:
     if Fraction(a) ** 2 + Fraction(b) ** 2 != alpha * alpha or alpha * alpha != 2 * k - 1:
         raise ValueError("need a^2 + b^2 = alpha^2 = 2k - 1")
     try:
-        inv = circulant_inverse(_add_scalar(p.d_row, b))
+        inv = circulant_inverse(add_scalar(p.d_row, b))
     except SingularCirculantError:
         pass
     else:
-        rhs = _add_scalar(p.a_row, -a)
+        rhs = add_scalar(p.a_row, -a)
         return circulant_multiply(inv, rhs)
     try:
-        inv = circulant_inverse(_add_scalar(p.a_row, a))
+        inv = circulant_inverse(add_scalar(p.a_row, a))
     except SingularCirculantError:
         raise BothSingularError("A + aI and D + bI are both singular") from None
-    rhs = _add_scalar(tuple(-v for v in p.d_row), b)
+    rhs = add_scalar(tuple(-v for v in p.d_row), b)
     return circulant_multiply(inv, rhs)
 
 
 # --- JSON cache -------------------------------------------------------------
 
 def save_pairs(path: str, k: int, pairs: list[ConferencePair]) -> None:
+    """Write a pair cache atomically: a temp file beside it, then os.replace.
+
+    An interrupted write leaves any earlier cache file untouched.
+    """
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     doc = {"k": k, "pairs": [{"aRow": list(p.a_row), "dRow": list(p.d_row)} for p in pairs]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_pairs(path: str) -> list[ConferencePair]:

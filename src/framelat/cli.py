@@ -26,7 +26,6 @@ from .circulant import CacheCorruptError, ConferencePair
 from .exact import (
     SurdValue,
     bareiss_determinant,
-    identity,
     ldl_decompose,
     mat_mul,
     sqrt_rational,
@@ -39,7 +38,6 @@ KNOWN_SEARCH_SIZES = (5, 13, 25)
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    threads: int = 1  # accepted for forward compatibility; work is single-writer
     cache_path: str | None = None
     output_format: str = "text"
     no_cache: bool = False
@@ -80,14 +78,6 @@ def _sign_row(row) -> str:
     return "(" + ",".join("0" if e == 0 else ("+" if e > 0 else "-") for e in row) + ")"
 
 
-def _fmat(rows) -> list:
-    return [[Fraction(e) for e in row] for row in rows]
-
-
-def _integral(row) -> bool:
-    return all(Fraction(v).denominator == 1 for v in row)
-
-
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -120,51 +110,25 @@ def load_or_search(k: int, cfg: RunConfig) -> tuple[list, str]:
     return pairs, "search"
 
 
-def _alpha_int(k: int) -> int:
-    s = sqrt_rational(2 * k - 1)
-    if s.radicand != 1:
-        raise frames.IrrationalAlphaError(f"2k-1 = {2 * k - 1} is not a perfect square")
-    return int(s.coeff)
-
-
 def _pair_facts(p: ConferencePair) -> dict:
     """Determinants and N-integrality data for one conference pair."""
-    k = p.k
-    alpha = _alpha_int(k)
-    a_mat = _fmat(circulant.circulant_matrix(p.a_row))
-    d_mat = _fmat(circulant.circulant_matrix(p.d_row))
-    ident = identity(k)
-    det_d = int(bareiss_determinant(d_mat))
-    det_plus = int(bareiss_determinant(
-        [[alpha * ident[i][j] + a_mat[i][j] for j in range(k)] for i in range(k)]))
-    det_minus = int(bareiss_determinant(
-        [[alpha * ident[i][j] - a_mat[i][j] for j in range(k)] for i in range(k)]))
-    n_row = circulant.compute_N(p, alpha, 0, alpha)
-    n_integral = _integral(n_row)
-    try:
-        n_inv_integral = _integral(circulant.circulant_inverse(n_row))
-    except circulant.SingularCirculantError:
-        n_inv_integral = False
+    data = frames.conference_data(p)
     return {
-        "detD": det_d,
-        "detAlphaPlusA": det_plus,
-        "detAlphaMinusA": det_minus,
-        "nIntegral": n_integral,
-        "nInverseIntegral": n_inv_integral,
+        "detD": data.det_d,
+        "detAlphaPlusA": data.det_plus,
+        "detAlphaMinusA": data.det_minus,
+        "nIntegral": frames.is_integral(data.n_row),
+        "nInverseIntegral": data.n_inv_row is not None and frames.is_integral(data.n_inv_row),
     }
 
 
 def _variant_gram(p: ConferencePair, variant: str) -> list:
     """Gram of one natural basis, I +- A/alpha, straight from the sign row."""
-    alpha = _alpha_int(p.k)
+    alpha = frames.conference_alpha(p.k)
     sign = 1 if variant == "plus" else -1
     a_mat = circulant.circulant_matrix(p.a_row)
     return [[Fraction(1) if i == j else Fraction(sign * a_mat[i][j], alpha)
              for j in range(p.k)] for i in range(p.k)]
-
-
-def _plus_gram(p: ConferencePair) -> list:
-    return _variant_gram(p, "plus")
 
 
 # --- analyze -------------------------------------------------------------------
@@ -518,7 +482,7 @@ def _check_5_10(cfg):
     pairs = circulant.search_conference_pairs(5)
     expected_n = [(1, 0, -1, -1, 0), (-1, 0, 1, 1, 0), (1, -1, 0, 0, -1), (-1, 1, 0, 0, 1)]
     for p, want in zip(pairs, expected_n):
-        n_row = tuple(int(Fraction(v)) for v in circulant.compute_N(p, 3, 0, 3))
+        n_row = tuple(int(v) for v in frames.conference_data(p).n_row)
         if n_row != want:
             return False, f"N first row {n_row} != {want}"
         facts = _pair_facts(p)
@@ -534,7 +498,8 @@ def _check_5_10(cfg):
         rep = lattice.minimal_vectors(model)
         if rep.count_with_signs != 20 or not lattice.frame_vectors_are_minimal(model, rep):
             return False, "expected 20 signed minimal vectors equal to the frame"
-    if lattice.scalar_orthogonal_equivalence(_plus_gram(pairs[0]), _plus_gram(pairs[2])) is not None:
+    if lattice.scalar_orthogonal_equivalence(_variant_gram(pairs[0], "plus"),
+                                            _variant_gram(pairs[2], "plus")) is not None:
         return False, "B1 and B3 Grams unexpectedly equivalent"
     return True, "N rows, det D = +-48, det(3I+A) = 48, volume 4/9, B1 !~ B3"
 
@@ -604,11 +569,11 @@ def _check_25_50_lattice(cfg):
         facts = _pair_facts(p)
         if not (facts["nIntegral"] and facts["nInverseIntegral"]):
             return False, "N and N^-1 should both be integral at k = 25"
-    model = lattice.LatticeModel(k=25, gram=_plus_gram(ordered[0]))
+    model = lattice.LatticeModel(k=25, gram=_variant_gram(ordered[0], "plus"))
     det = lattice.lattice_determinant(model)
     if abs(float(det) - 0.00071052) > 1e-8:
         return False, f"determinant decimal {float(det)} != 0.00071052 within 1e-8"
-    classes = lattice.equivalence_classes([_plus_gram(p) for p in ordered[:10]])
+    classes = lattice.equivalence_classes([_variant_gram(p, "plus") for p in ordered[:10]])
     if classes != [[i] for i in range(10)]:
         return False, f"expected 10 singleton classes, got {classes}"
     return True, "B_j = B_(j+10) pairing, determinant decimal, 10 singleton classes"
@@ -814,8 +779,6 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads (reserved; output is identical for any value)")
     common.add_argument("--format", choices=("json", "csv", "text"), default="text",
                         dest="output_format", help="report format")
     common.add_argument("--cache", dest="cache_path", default=None,
@@ -854,7 +817,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = RunConfig(
         command=args.command,
-        threads=args.threads,
         cache_path=args.cache_path,
         output_format=args.output_format,
         no_cache=args.no_cache,

@@ -55,21 +55,6 @@ def transpose(m: Mat) -> Mat:
     return [list(col) for col in zip(*m)]
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    _require_same_shape(a, b)
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    _require_same_shape(a, b)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: Rational, m: Mat) -> Mat:
-    c = Fraction(c)
-    return [[c * v for v in row] for row in m]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if len(a[0]) != len(b):
         raise SizeMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
@@ -77,17 +62,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(m: Mat, v: Sequence[Rational]) -> list[Fraction]:
-    return [sum(x * Fraction(y) for x, y in zip(row, v)) for row in m]
-
-
 def is_symmetric(m: Mat) -> bool:
     return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
-
-
-def _require_same_shape(a: Mat, b: Mat) -> None:
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        raise SizeMismatchError("matrix shapes differ")
 
 
 def _require_square(m: Mat) -> None:

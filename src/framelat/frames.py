@@ -10,24 +10,28 @@ expresses the remaining columns over the basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .circulant import (
     ConferencePair,
+    Row,
     SingularCirculantError,
+    add_scalar,
     circulant_inverse,
     circulant_matrix,
     circulant_multiply,
     compute_N,
+    is_conference,
 )
 from .exact import (
     Mat,
     SurdValue,
     bareiss_determinant,
-    identity,
     mat_mul,
     matrix_rank,
     solve_linear,
@@ -43,10 +47,6 @@ class IrrationalAlphaError(ValueError):
 
 
 class SingularDError(ZeroDivisionError):
-    pass
-
-
-class SingularNError(ZeroDivisionError):
     pass
 
 
@@ -188,6 +188,57 @@ def conference_frame_spec(p: ConferencePair, label: str = "") -> FrameSpec:
                      seidel=conference_seidel(p), label=label or f"conference:{k}")
 
 
+def conference_alpha(k: int) -> int:
+    """The integer alpha = sqrt(2k - 1) of a (k, 2k) conference frame."""
+    alpha = sqrt_rational(2 * k - 1)
+    if alpha.radicand != 1:
+        raise IrrationalAlphaError(f"2k-1 = {2 * k - 1} is not a perfect square")
+    return int(alpha.coeff)
+
+
+def is_integral(row) -> bool:
+    return all(F(v).denominator == 1 for v in row)
+
+
+class ConferenceData(NamedTuple):
+    alpha: int
+    n_row: Row  # first row of N = D^{-1}(A - alpha·I)
+    n_inv_row: Row | None  # first row of N^{-1}; None when D is singular
+    det_d: int
+    det_plus: int  # det(alpha·I + A)
+    det_minus: int  # det(alpha·I - A)
+
+
+def _neg(row: Row) -> Row:
+    return tuple(-v for v in row)
+
+
+@functools.cache
+def conference_data(p: ConferencePair) -> ConferenceData:
+    """Alpha, N, N^{-1} and the three determinants of one conference pair.
+
+    The conference condition A² + D² = alpha²·I between commuting circulants
+    gives D² = (alpha·I - A)(alpha·I + A), so an invertible D makes both
+    alpha·I ± A invertible, and one inverse of D yields both rows:
+    N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  A singular D
+    leaves N to compute_N's fallback, which is then singular itself.
+    """
+    alpha = conference_alpha(p.k)
+    if not is_conference(p):
+        raise ValueError("not a conference pair: a*a + d*d != (2k-1)e0")
+    plus_row = add_scalar(p.a_row, alpha)
+    minus_row = add_scalar(_neg(p.a_row), alpha)
+    det_d, det_plus, det_minus = (int(bareiss_determinant(circulant_matrix(row)))
+                                  for row in (p.d_row, plus_row, minus_row))
+    if det_d == 0:
+        n_row, n_inv_row = compute_N(p, alpha, 0, alpha), None
+    else:
+        d_inv = circulant_inverse(p.d_row)
+        n_row = circulant_multiply(d_inv, _neg(minus_row))
+        n_inv_row = circulant_multiply(d_inv, _neg(plus_row))
+    return ConferenceData(alpha, n_row, n_inv_row, det_d, det_plus, det_minus)
+
+
 def conference_frame(p: ConferencePair, variant: str,
                      pair_index: int | None = None) -> tuple[FrameSpec, CoordinateFrame]:
     """Coordinate frame over one of the two natural bases of a conference frame.
@@ -201,22 +252,14 @@ def conference_frame(p: ConferencePair, variant: str,
     k = p.k
     tag = f"t{pair_index}" if pair_index is not None else "?"
     spec = conference_frame_spec(p, label=f"conference:{k}:{tag}:{variant}")
-    if spec.alpha.radicand != 1:
-        raise IrrationalAlphaError(f"2k-1 = {2 * k - 1} is not a perfect square")
-    alpha = int(spec.alpha.coeff)
-    if bareiss_determinant(circulant_matrix(p.d_row)) == 0:
+    data = conference_data(p)
+    if data.det_d == 0:
         raise SingularDError("D is singular")
-    n_row = compute_N(p, alpha, 0, alpha)
     if variant == "plus":
-        x = [[-v for v in row] for row in circulant_matrix(n_row)]
-        basis = tuple(range(1, k + 1))
+        row, basis = data.n_row, tuple(range(1, k + 1))
     else:
-        try:
-            n_inv = circulant_inverse(n_row)
-        except SingularCirculantError as exc:
-            raise SingularNError("N is singular") from exc
-        x = [[-v for v in row] for row in circulant_matrix(n_inv)]
-        basis = tuple(range(k + 1, 2 * k + 1))
+        row, basis = data.n_inv_row, tuple(range(k + 1, 2 * k + 1))
+    x = [[-v for v in r] for r in circulant_matrix(row)]
     cf = CoordinateFrame(frame=spec, basis_indices=basis, coords=x, beta=_beta_of(x))
     return spec, cf
 
@@ -227,13 +270,7 @@ def preferred_variant(p: ConferencePair) -> str:
     Integral N makes the plus basis (columns 1..k) coordinatize the frame over
     the integers directly; otherwise the minus basis does, via N^{-1}.
     """
-    k = p.k
-    alpha_s = sqrt_rational(2 * k - 1)
-    if alpha_s.radicand != 1:
-        raise IrrationalAlphaError(f"2k-1 = {2 * k - 1} is not a perfect square")
-    alpha = int(alpha_s.coeff)
-    n_row = compute_N(p, alpha, 0, alpha)
-    return "plus" if all(F(v).denominator == 1 for v in n_row) else "minus"
+    return "plus" if is_integral(conference_data(p).n_row) else "minus"
 
 
 def goethals_seidel_coordinates(p: ConferencePair, a, b) -> CoordinateFrame:
@@ -244,10 +281,7 @@ def goethals_seidel_coordinates(p: ConferencePair, a, b) -> CoordinateFrame:
     (a, b); everything stays a circulant, so the work happens on first rows.
     """
     k = p.k
-    alpha_s = sqrt_rational(2 * k - 1)
-    if alpha_s.radicand != 1:
-        raise IrrationalAlphaError(f"2k-1 = {2 * k - 1} is not a perfect square")
-    alpha = int(alpha_s.coeff)
+    alpha = conference_alpha(k)
     n_row = compute_N(p, a, b, alpha)
     s = F(alpha) + F(a)
     lead_row = tuple((s if i == 0 else 0) + F(b) * v for i, v in enumerate(n_row))

@@ -34,7 +34,6 @@ class PerfectionReport:
     rank: int
     required: int  # k(k+1)/2
     is_perfect: bool
-    det_d: Optional[int] = None  # certificate determinant, when one was built
 
 
 def strong_eutaxy_check(model: LatticeModel, report: MinVecReport) -> EutaxyReport:

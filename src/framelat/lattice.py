@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
-
-import numpy as np
 
 from .exact import (
     Mat,
@@ -247,8 +245,8 @@ def brute_force_short_vectors(model: LatticeModel, bound_sq) -> list:
 
     Coordinates are bounded by the dual certificate |x_i| <= sqrt(bound ·
     (Q^{-1})_ii), valid because x_i = e_i' Q^{-1} (Qx) and Cauchy-Schwarz in
-    the Q-inner product gives x_i² <= (Q^{-1})_ii · x'Qx.  The scan is done
-    with integer matrices in numpy after clearing denominators.
+    the Q-inner product gives x_i² <= (Q^{-1})_ii · x'Qx.  The scan runs on
+    Python integers after clearing denominators.
     """
     gram = model.gram
     k = model.k
@@ -259,16 +257,20 @@ def brute_force_short_vectors(model: LatticeModel, bound_sq) -> list:
 
     den = math.lcm(bound.denominator,
                    *[F(gram[i][j]).denominator for i in range(k) for j in range(k)])
-    q_int = np.array([[int(F(gram[i][j]) * den) for j in range(k)] for i in range(k)],
-                     dtype=np.int64)
+    q_int = [[int(F(gram[i][j]) * den) for j in range(k)] for i in range(k)]
     bound_int = int(bound * den)
 
-    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in radii]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=1)
-    vals = np.einsum("ni,ij,nj->n", pts, q_int, pts)
-    keep = pts[(vals <= bound_int) & np.any(pts != 0, axis=1)]
-    canon = {_canonical([int(t) for t in row]) for row in keep}
+    # x'Qx = h'Q_hh h + t·(2·q_th·h + q_tt·t) for x = (h, t): one inner loop
+    # per head h over the last coordinate t
+    *head_radii, r_last = radii
+    q_last = q_int[-1]
+    canon = set()
+    for head in product(*(range(-r, r + 1) for r in head_radii)):
+        base = sum(hi * sum(q * hj for q, hj in zip(row, head)) for hi, row in zip(head, q_int))
+        lin = 2 * sum(q * hj for q, hj in zip(q_last, head))
+        for t in range(-r_last, r_last + 1):
+            if base + t * (lin + q_last[-1] * t) <= bound_int and (t or any(head)):
+                canon.add(_canonical(head + (t,)))
     return sorted(canon)
 
 

@@ -232,6 +232,22 @@ def test_cache_roundtrip(tmp_path):
     assert load_pairs(path) == pairs
 
 
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    path = str(tmp_path / "pairs.json")
+    pairs = search_conference_pairs(5)
+    save_pairs(path, 5, pairs)
+
+    def interrupted_dump(doc, fh):
+        fh.write('{"k": 5, "pairs": [{"aRow": [0, ')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "dump", interrupted_dump)
+    with pytest.raises(KeyboardInterrupt):
+        save_pairs(path, 5, pairs[:1])
+    assert load_pairs(path) == pairs
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.json"]
+
+
 def test_cache_corrupt_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,16 +1,26 @@
 """Tests for frame constructions and validation."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from framelat.circulant import ConferencePair, search_conference_pairs
+from framelat.circulant import (
+    ConferencePair,
+    circulant_inverse,
+    circulant_matrix,
+    circulant_multiply,
+    compute_N,
+    load_pairs,
+    search_conference_pairs,
+)
 from framelat.exact import SurdValue, bareiss_determinant
 from framelat.frames import (
     CoordinateFrame,
     FrameSpec,
     IrrationalAlphaError,
     basis_gram,
+    conference_data,
     conference_frame,
     conference_frame_spec,
     frame_6_16,
@@ -125,6 +135,44 @@ def test_conference_rejects_unknown_variant():
     pairs = search_conference_pairs(5)
     with pytest.raises(ValueError):
         conference_frame(pairs[0], "both")
+
+
+# --- per-pair record -----------------------------------------------------------
+
+CACHE_25 = Path(__file__).resolve().parent.parent / "cache" / "conference-25.json"
+
+
+@pytest.mark.parametrize("k", [5, 13, 25])
+def test_conference_data_matches_the_dense_reference(k):
+    pairs = load_pairs(str(CACHE_25)) if k == 25 else search_conference_pairs(k)
+    assert len(pairs) == {5: 4, 13: 12, 25: 20}[k]
+    alpha = {5: 3, 13: 5, 25: 7}[k]
+    e0 = (1,) + (0,) * (k - 1)
+    for p in pairs:
+        data = conference_data(p)
+        assert data.alpha == alpha
+        assert data.n_row == compute_N(p, alpha, 0, alpha)
+        assert data.n_inv_row == circulant_inverse(data.n_row)
+        assert circulant_multiply(data.n_row, data.n_inv_row) == e0
+        a = circulant_matrix(p.a_row)
+        plus = [[alpha * (i == j) + a[i][j] for j in range(k)] for i in range(k)]
+        minus = [[alpha * (i == j) - a[i][j] for j in range(k)] for i in range(k)]
+        assert data.det_d == bareiss_determinant(circulant_matrix(p.d_row))
+        assert data.det_plus == bareiss_determinant(plus)
+        assert data.det_minus == bareiss_determinant(minus)
+
+
+def test_conference_data_rejects_a_non_conference_pair():
+    p = ConferencePair(5, (0, 1, 1, 1, 1), (1, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match="not a conference pair"):
+        conference_data(p)
+    with pytest.raises(ValueError, match="not a conference pair"):
+        conference_frame(p, "plus")
+
+
+def test_conference_data_irrational_alpha():
+    with pytest.raises(IrrationalAlphaError):
+        conference_data(search_conference_pairs(3)[0])
 
 
 # --- two-parameter coordinates ----------------------------------------------
