@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .exact import Rational, SizeMismatchError, solve_linear, transpose
+from .exact import Rational, SingularMatrixError, SizeMismatchError, solve_linear, transpose
 
 Row = tuple  # first row of a circulant; entries int or Fraction
 
@@ -156,10 +156,10 @@ def circulant_inverse(row: Row) -> Row:
     """
     k = len(row)
     m = transpose(circulant_matrix(row))
-    e0 = [[Fraction(1 if i == 0 else 0)] for i in range(k)]
+    e0 = [[1 if i == 0 else 0] for i in range(k)]
     try:
         col = solve_linear(m, e0)
-    except Exception as exc:
+    except SingularMatrixError as exc:
         raise SingularCirculantError("circulant is singular") from exc
     return tuple(r[0] for r in col)
 

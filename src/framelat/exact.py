@@ -1,16 +1,18 @@
 """Exact scalar and matrix arithmetic kernel.
 
-Everything here is over the rationals (``fractions.Fraction``) or quadratic
-surds, and every result is exact.  Matrices are plain lists of lists of
-Fractions; all functions treat their inputs as immutable and return fresh
-objects.  Floating point is never used.
+Everything here is over the rationals (``int`` or ``fractions.Fraction``
+entries) or quadratic surds, and every result is exact.  Matrices are plain
+lists of rows; all functions treat their inputs as immutable and return fresh
+objects.  Determinant, rank, pivot columns and linear solves share one
+fraction-free (Bareiss) Gauss-Jordan elimination on integer rows; only
+``ldl_decompose`` runs over Fractions.  Floating point is never used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import NamedTuple, Sequence
 
 Mat = list[list[Fraction]]
@@ -72,94 +74,88 @@ def _require_square(m: Mat) -> None:
 
 
 # ---------------------------------------------------------------------------
-# determinant, rank, solve
+# determinant, rank, solve: one fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def bareiss_determinant(m: Mat) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination.
+class _Elimination(NamedTuple):
+    rows: list[list[int]]  # the reduced integer rows
+    pivots: list[int]  # pivot columns, left to right
+    sign: int  # sign of the row permutation
+    last: int  # last pivot (1 when there is none)
+    scale: int  # product of the row scale factors
 
-    Rows are first scaled to integers; the elimination then stays in integers
-    throughout, so integer inputs never touch Fraction arithmetic in the
-    inner loop.
+
+def _eliminate(m: Sequence[Sequence[Rational]]) -> _Elimination:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a rational matrix.
+
+    Each row is scaled once by the lcm of its denominators; from then on every
+    entry is an integer minor of the scaled matrix, so the update
+    (p·x - f·y) / prev divides exactly.  Pivots are taken leftmost first: a
+    column is a pivot exactly when it is independent of the columns to its
+    left.  At the end each pivot row holds the last pivot in its own pivot
+    column and zero in every other pivot column.
     """
-    _require_square(m)
-    k = len(m)
-    if k == 0:
-        return Fraction(1)
-
-    # scale each row by the lcm of its denominators
-    scale = Fraction(1)
-    a: list[list[int]] = []
+    rows = []
+    scale = 1
     for row in m:
-        lcm = 1
-        for v in row:
-            d = Fraction(v).denominator
-            lcm = lcm * d // gcd(lcm, d)
-        scale *= lcm
-        a.append([int(Fraction(v) * lcm) for v in row])
-
+        lcm_den = lcm(*(v.denominator for v in row))
+        scale *= lcm_den
+        rows.append([v.numerator * (lcm_den // v.denominator) for v in row])
+    height = len(rows)
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for j in range(k - 1):
-        if a[j][j] == 0:
-            for i in range(j + 1, k):
-                if a[i][j] != 0:
-                    a[i], a[j] = a[j], a[i]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(j + 1, k):
-            for col in range(j + 1, k):
-                a[i][col] = (a[i][col] * a[j][j] - a[i][j] * a[j][col]) // prev
-            a[i][j] = 0
-        prev = a[j][j]
-    return Fraction(sign * a[k - 1][k - 1]) / scale
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == height:
+            break
+        found = next((i for i in range(r, height) if rows[i][col]), None)
+        if found is None:
+            continue
+        if found != r:
+            rows[r], rows[found] = rows[found], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i == r or (f == 0 and p == prev):
+                continue  # an update with f = 0 and p = prev is the identity
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(col)
+        prev = p
+    return _Elimination(rows, pivots, sign, prev, scale)
+
+
+def bareiss_determinant(m: Mat) -> Fraction:
+    """Exact determinant: sign · last pivot / row scale of the elimination."""
+    _require_square(m)
+    e = _eliminate(m)
+    if len(e.pivots) < len(m):
+        return Fraction(0)
+    return Fraction(e.sign * e.last, e.scale)
+
+
+def pivot_columns(m: Mat) -> list[int]:
+    """Indices of the leftmost maximal set of linearly independent columns."""
+    return _eliminate(m).pivots
 
 
 def matrix_rank(m: Mat) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    if not m:
-        return 0
-    work = [list(map(Fraction, row)) for row in m]
-    rows, cols = len(work), len(work[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for i in range(rows):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over the rationals."""
+    return len(_eliminate(m).pivots)
 
 
 def solve_linear(a: Mat, b: Mat) -> Mat:
-    """Solve A·Y = B exactly (Gauss-Jordan). Raises SingularMatrixError."""
+    """Solve A·Y = B exactly by eliminating [A | B]. Raises SingularMatrixError."""
     _require_square(a)
     k = len(a)
     if len(b) != k:
         raise SizeMismatchError("right-hand side has wrong number of rows")
-    aug = [list(map(Fraction, ra)) + list(map(Fraction, rb)) for ra, rb in zip(a, b)]
-    width = k + len(b[0])
-    for col in range(k):
-        pivot = next((i for i in range(col, k) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[k:width] for row in aug]
+    e = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if e.pivots[:k] != list(range(k)):
+        raise SingularMatrixError("matrix is singular")
+    return [[Fraction(v, e.last) for v in row[k:]] for row in e.rows]
 
 
 def mat_inverse(a: Mat) -> Mat:
@@ -203,16 +199,18 @@ def ldl_decompose(q: Mat) -> LDLDecomposition:
 # ---------------------------------------------------------------------------
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = m²·f with f squarefree; returns (m, f).  n must be >= 0."""
+    """Write n = m²·f with f squarefree; returns (m, f).  n must be >= 0.
+
+    Trial division runs only while p³ <= n, so it costs O(n^(1/3)) steps.
+    """
     if n < 0:
         raise NegativeRadicandError("negative radicand")
     if n == 0:
         return 0, 1
     m = 1
     f = 1
-    # strip small square factors by trial division
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -222,8 +220,11 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 f *= p
         p += 1 if p == 2 else 2
-    f *= n  # leftover is prime (or 1)
-    return m, f
+    # every prime factor left is >= p and n < p³: n is 1, q, q² or q·r
+    r = isqrt(n)
+    if n > 1 and r * r == n:
+        return m * r, f
+    return m, f * n
 
 
 @dataclass(frozen=True)

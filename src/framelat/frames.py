@@ -33,7 +33,7 @@ from .exact import (
     SurdValue,
     bareiss_determinant,
     mat_mul,
-    matrix_rank,
+    pivot_columns,
     solve_linear,
     sqrt_rational,
     transpose,
@@ -133,17 +133,16 @@ def _beta_of(coords) -> int:
 
 
 def select_basis_greedy(gram: Mat, k: int) -> tuple:
-    """Leftmost k columns whose Gram submatrix keeps full rank (1-based)."""
-    chosen: list[int] = []
-    n = len(gram)
-    for j in range(n):
-        trial = chosen + [j]
-        sub = [[gram[r][c] for c in trial] for r in trial]
-        if matrix_rank(sub) == len(trial):
-            chosen.append(j)
-            if len(chosen) == k:
-                return tuple(b + 1 for b in chosen)
-    raise ValueError("gram has rank below k")
+    """Leftmost k linearly independent frame vectors (1-based).
+
+    For a Gram G = V'V, column j of G depends on the columns to its left
+    exactly when v_j depends on the vectors to its left, so the first k pivot
+    columns of G are the basis a greedy left-to-right scan would pick.
+    """
+    pivots = pivot_columns(gram)
+    if len(pivots) < k:
+        raise ValueError("gram has rank below k")
+    return tuple(j + 1 for j in pivots[:k])
 
 
 # --- constructions ----------------------------------------------------------

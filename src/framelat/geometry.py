@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Mat, bareiss_determinant, mat_mul, matrix_rank
+from .exact import bareiss_determinant, mat_mul, matrix_rank
 from .frames import scaled_vectors_7_28
 from .lattice import LatticeModel, MinVecReport
 
@@ -70,7 +70,7 @@ def strong_eutaxy_check(model: LatticeModel, report: MinVecReport) -> EutaxyRepo
 
 def _lower_triangle(x: list, k: int) -> list:
     """Vectorize the on-or-below-diagonal entries of x x', length k(k+1)/2."""
-    return [Fraction(x[r] * x[c]) for c in range(k) for r in range(c, k)]
+    return [x[r] * x[c] for c in range(k) for r in range(c, k)]
 
 
 def perfection_rank(model: LatticeModel, report: MinVecReport) -> PerfectionReport:
@@ -129,6 +129,4 @@ def perfection_certificate_det_7_28() -> int:
     A nonzero value shows the 28 rank-one forms are linearly independent,
     which is the perfection property in dimension 7(7+1)/2 = 28.
     """
-    cert: Mat = [[Fraction(e) for e in row] for row in perfection_certificate_matrix_7_28()]
-    det = bareiss_determinant(cert)
-    return int(det)
+    return int(bareiss_determinant(perfection_certificate_matrix_7_28()))

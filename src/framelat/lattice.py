@@ -27,7 +27,7 @@ from .exact import (
     mat_inverse,
     sqrt_rational,
 )
-from .frames import CoordinateFrame, FrameSpec, basis_gram, coordinatize
+from .frames import CoordinateFrame, basis_gram
 
 F = Fraction
 
@@ -67,7 +67,8 @@ def alpha_gate(k: int, n: int) -> LatticeVerdict:
     alpha = sqrt(k(n-1)/(n-k)).  Irrational alpha rules a lattice out; rational
     alpha makes the whole Gram rational, hence every frame coordinate rational,
     which certifies a full-rank lattice (the converse direction is re-verified
-    constructively by lattice_test on each concrete frame).
+    constructively by coordinatize, which finds rational coordinates over a
+    basis for each concrete frame).
     """
     if not 2 <= k < n:
         raise ValueError("need 2 <= k < n")
@@ -76,11 +77,6 @@ def alpha_gate(k: int, n: int) -> LatticeVerdict:
     return LatticeVerdict(is_lattice=rational,
                           reason="RationalAlpha" if rational else "IrrationalAlpha",
                           alpha=alpha)
-
-
-def lattice_test(spec: FrameSpec) -> CoordinateFrame:
-    """Constructive lattice certificate: rational coordinates over a basis."""
-    return coordinatize(spec)
 
 
 def lattice_model(cf: CoordinateFrame) -> LatticeModel:

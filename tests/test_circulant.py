@@ -185,6 +185,12 @@ def test_singular_A_raises():
         circulant_inverse(a)
 
 
+def test_inverse_of_non_numeric_row_is_not_reported_singular():
+    # only a genuinely singular circulant may surface as SingularCirculantError
+    with pytest.raises((AttributeError, TypeError)):
+        circulant_inverse(("x", 1, 1))
+
+
 def test_compute_N_t1():
     pair = ConferencePair(5, *T5[0])
     n_row = compute_N(pair, 3, 0, 3)

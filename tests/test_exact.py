@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from framelat.exact import (
     mat_inverse,
     mat_mul,
     matrix_rank,
+    pivot_columns,
     solve_linear,
     sqrt_rational,
     squarefree_decompose,
@@ -97,6 +99,50 @@ def test_rank_of_products():
         a = random_matrix(rng, 4, 2)
         b = random_matrix(rng, 2, 4)
         assert matrix_rank(mat_mul(a, b)) <= 2
+
+
+def minor_rank(m):
+    """Largest r with a nonzero r x r minor, as an independent oracle."""
+    rows, cols = len(m), len(m[0])
+    for r in range(min(rows, cols), 0, -1):
+        for ri in combinations(range(rows), r):
+            for ci in combinations(range(cols), r):
+                if cofactor_determinant([[m[i][j] for j in ci] for i in ri]) != 0:
+                    return r
+    return 0
+
+
+def random_mixed_matrix(rng, rows, cols):
+    """Small int and Fraction entries, mixed within one matrix."""
+    return [[rng.randint(-3, 3) if rng.random() < 0.5 else F(rng.randint(-3, 3), rng.randint(1, 4))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_rank_matches_minor_oracle():
+    rng = random.Random(11)
+    for _ in range(120):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.5:
+            # rank-deficient: a product through a thinner inner dimension
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            m = mat_mul(random_mixed_matrix(rng, rows, inner), random_mixed_matrix(rng, inner, cols))
+        else:
+            m = random_mixed_matrix(rng, rows, cols)
+        assert matrix_rank(m) == minor_rank(m), m
+
+
+def test_pivot_columns_are_leftmost_independent():
+    rng = random.Random(12)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+        inner = rng.randint(1, 3)
+        m = mat_mul(random_mixed_matrix(rng, rows, inner), random_mixed_matrix(rng, inner, cols))
+        greedy = []
+        for j in range(cols):
+            trial = greedy + [j]
+            if minor_rank([[row[c] for c in trial] for row in m]) == len(trial):
+                greedy.append(j)
+        assert pivot_columns(m) == greedy, m
 
 
 def test_solve_identity():
@@ -187,6 +233,27 @@ def test_squarefree_decompose_basics():
     assert squarefree_decompose(48) == (4, 3)
     assert squarefree_decompose(49) == (7, 1)
     assert squarefree_decompose(0) == (0, 1)
+
+
+def test_squarefree_decompose_matches_trial_division():
+    for n in range(1, 20000):
+        m, f, rest, p = 1, 1, n, 2
+        while p * p <= rest:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            m *= p ** (e // 2)
+            f *= p ** (e % 2)
+            p += 1
+        assert squarefree_decompose(n) == (m, f * rest), n
+
+
+def test_squarefree_decompose_large_cofactors():
+    # a square of a large prime, and a product of two large primes: both are
+    # left after trial division stops at the cube root
+    assert squarefree_decompose(1000000007 ** 2) == (1000000007, 1)
+    assert squarefree_decompose(1000000007 * 998244353) == (1, 1000000007 * 998244353)
 
 
 def test_sqrt_rational_perfect_square():

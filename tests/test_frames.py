@@ -242,3 +242,15 @@ def test_frame_7_28():
 def test_greedy_basis_simplex():
     spec, _ = simplex_frame(5)
     assert select_basis_greedy(full_gram(spec), 5) == (1, 2, 3, 4, 5)
+
+
+def test_greedy_basis_skips_repeated_vectors():
+    # vectors v0, v0, v1, v1, v2, v3 of the 3-simplex: the leading two Gram
+    # columns are equal, so the basis is the first copy of v0, v1 and v2
+    spec, _ = simplex_frame(3)
+    g = full_gram(spec)
+    order = [0, 0, 1, 1, 2, 3]
+    repeated = [[g[i][j] for j in order] for i in order]
+    assert select_basis_greedy(repeated, 3) == (1, 3, 5)
+    with pytest.raises(ValueError):
+        select_basis_greedy(repeated, 4)

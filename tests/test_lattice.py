@@ -12,6 +12,7 @@ from framelat.frames import (
     FrameSpec,
     IrrationalAlphaError,
     conference_frame,
+    coordinatize,
     frame_6_16,
     preferred_variant,
     simplex_frame,
@@ -28,7 +29,6 @@ from framelat.lattice import (
     has_basis_of_minimal_vectors,
     lattice_determinant,
     lattice_model,
-    lattice_test,
     minimal_vectors,
     non_lattice_witness_3_6,
     norm_sq,
@@ -74,18 +74,18 @@ def test_alpha_gate_domain():
         alpha_gate(5, 5)
 
 
-# --- lattice_test -------------------------------------------------------------
+# --- constructive lattice test: rational coordinates over a basis -------------
 
 def test_lattice_test_simplex():
     spec, _ = simplex_frame(5)
-    cf = lattice_test(spec)
+    cf = coordinatize(spec)
     assert cf.coords == [[-1]] * 5
     assert cf.beta == 1
 
 
 def test_lattice_test_6_16():
     spec, built = frame_6_16()
-    cf = lattice_test(spec)
+    cf = coordinatize(spec)
     assert cf.basis_indices == (1, 2, 3, 4, 5, 9)
     assert cf.beta == 1
     assert cf.coords == built.coords
@@ -94,7 +94,7 @@ def test_lattice_test_6_16():
 def test_lattice_test_matches_minus_N():
     pairs = search_conference_pairs(5)
     spec, built = conference_frame(pairs[0], "plus", pair_index=1)
-    cf = lattice_test(spec)
+    cf = coordinatize(spec)
     assert cf.basis_indices == (1, 2, 3, 4, 5)
     assert cf.coords == built.coords  # X = -N falls out of the Gram solve
 
@@ -103,7 +103,7 @@ def test_lattice_test_irrational():
     from framelat.frames import conference_frame_spec
     pairs = search_conference_pairs(3)
     with pytest.raises(IrrationalAlphaError):
-        lattice_test(conference_frame_spec(pairs[0]))
+        coordinatize(conference_frame_spec(pairs[0]))
 
 
 # --- determinants ---------------------------------------------------------------
