@@ -664,9 +664,10 @@ def _check_property_suites():
         k = rng.randint(2, 5)
         g = _random_pd_gram(rng, k)
         dec = ldl_decompose(g)
-        diag = [[dec.diag[i] if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-        back = mat_mul(mat_mul(dec.unit_lower, diag), transpose(dec.unit_lower))
-        if back != g:
+        u, delta = dec.rows, [1, *dec.minors]
+        back = [[sum(Fraction(u[t][i] * u[t][j], delta[t] * delta[t + 1]) for t in range(k))
+                 for j in range(k)] for i in range(k)]
+        if back != [[dec.scale * e for e in row] for row in g]:
             return False, f"LDL reconstruction failed on trial {trial}"
     for trial in range(100):  # surd normalization idempotence
         value = Fraction(rng.randint(1, 500), rng.randint(1, 60))

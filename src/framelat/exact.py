@@ -4,15 +4,16 @@ Everything here is over the rationals (``int`` or ``fractions.Fraction``
 entries) or quadratic surds, and every result is exact.  Matrices are plain
 lists of rows; all functions treat their inputs as immutable and return fresh
 objects.  Determinant, rank, pivot columns and linear solves share one
-fraction-free (Bareiss) Gauss-Jordan elimination on integer rows; only
-``ldl_decompose`` runs over Fractions.  Floating point is never used.
+fraction-free (Bareiss) Gauss-Jordan elimination on integer rows, and
+``ldl_decompose`` is a forward Bareiss pass on a matrix scaled to integers.
+Floating point appears only in ``SurdValue.__float__``, for printing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import NamedTuple, Sequence
 
 Mat = list[list[Fraction]]
@@ -49,10 +50,6 @@ def identity(k: int) -> Mat:
     return [[Fraction(1 if i == j else 0) for j in range(k)] for i in range(k)]
 
 
-def zeros(rows: int, cols: int) -> Mat:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def transpose(m: Mat) -> Mat:
     return [list(col) for col in zip(*m)]
 
@@ -64,8 +61,10 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def is_symmetric(m: Mat) -> bool:
-    return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
+def clear_denominators(m: Sequence[Sequence[Rational]]) -> tuple[int, list[list[int]]]:
+    """(d, d·m) with d the lcm of all denominators, so d·m has integer entries."""
+    d = lcm(*(v.denominator for row in m for v in row))
+    return d, [[v.numerator * (d // v.denominator) for v in row] for row in m]
 
 
 def _require_square(m: Mat) -> None:
@@ -95,12 +94,9 @@ def _eliminate(m: Sequence[Sequence[Rational]]) -> _Elimination:
     left.  At the end each pivot row holds the last pivot in its own pivot
     column and zero in every other pivot column.
     """
-    rows = []
-    scale = 1
-    for row in m:
-        lcm_den = lcm(*(v.denominator for v in row))
-        scale *= lcm_den
-        rows.append([v.numerator * (lcm_den // v.denominator) for v in row])
+    scaled = [clear_denominators([row]) for row in m]
+    scale = prod(d for d, _ in scaled)
+    rows = [r for _, (r,) in scaled]
     height = len(rows)
     pivots: list[int] = []
     sign = 1
@@ -163,35 +159,47 @@ def mat_inverse(a: Mat) -> Mat:
 
 
 class LDLDecomposition(NamedTuple):
-    unit_lower: Mat
-    diag: list[Fraction]
+    """scale·Q = Σ_j u_j u_j' / (Δ_j Δ_{j+1}) with integer rows u_j and Δ_0 = 1.
+
+    ``rows[j]`` is u_j: zero left of column j, and ``rows[j][j]`` is the
+    leading principal minor Δ_{j+1} of the integer matrix scale·Q.
+    """
+
+    scale: int
+    rows: list[list[int]]
+
+    @property
+    def minors(self) -> list[int]:
+        """Δ_1, ..., Δ_k."""
+        return [row[j] for j, row in enumerate(self.rows)]
 
     def is_positive_definite(self) -> bool:
-        return all(d > 0 for d in self.diag)
+        return all(d > 0 for d in self.minors)
 
 
 def ldl_decompose(q: Mat) -> LDLDecomposition:
-    """Exact Q = L·diag(d)·L' with unit lower-triangular L.
+    """Fraction-free LDL' of a symmetric rational Q: a forward Bareiss pass.
 
-    A zero pivot means Q is not definite and raises PivotBreakdownError;
-    indefinite inputs that keep nonzero pivots come back with negative
-    diagonal entries, so positive definiteness is read off the signs.
+    Q is scaled once to the integer matrix scale·Q; without pivoting, row j
+    after j elimination steps is u_j, and every update (p·x - f·y) / prev
+    divides exactly.  A zero minor means Q is not definite and raises
+    PivotBreakdownError; indefinite inputs that keep nonzero minors come back
+    with a negative one, so positive definiteness is read off the signs.
     """
     _require_square(q)
-    if not is_symmetric(q):
+    if any(q[i][j] != q[j][i] for i in range(len(q)) for j in range(i)):
         raise SizeMismatchError("ldl_decompose requires a symmetric matrix")
-    k = len(q)
-    lower = identity(k)
-    diag: list[Fraction] = []
-    for j in range(k):
-        d = q[j][j] - sum(lower[j][t] * lower[j][t] * diag[t] for t in range(j))
-        if d == 0:
+    scale, a = clear_denominators(q)
+    prev = 1
+    for j, top in enumerate(a):
+        p = top[j]
+        if p == 0:
             raise PivotBreakdownError(f"zero pivot at index {j}: matrix is not definite")
-        diag.append(d)
-        for i in range(j + 1, k):
-            s = q[i][j] - sum(lower[i][t] * lower[j][t] * diag[t] for t in range(j))
-            lower[i][j] = s / d
-    return LDLDecomposition(lower, diag)
+        for i in range(j + 1, len(a)):
+            f = a[i][j]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return LDLDecomposition(scale, a)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ A lattice is strongly eutactic when its signed minimal vectors form a
 spherical 2-design, i.e. they sum to zero and satisfy a Parseval-type
 identity sum(x x') = c * Q^{-1} in basis coordinates.  It is perfect when
 the rank-one forms x x' of the minimal vectors span the full space of
-symmetric k x k matrices.  Both tests run over exact rationals.
+symmetric k x k matrices.  Both tests run on integers: eutaxy against the
+model's Gram scaled to integers, perfection as the rank of integer rank-one
+forms.
 
 The module also rebuilds the 28 x 28 integer certificate matrix whose
 nonzero determinant witnesses perfection of the 7-dimensional lattice
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import bareiss_determinant, mat_mul, matrix_rank
+from .exact import bareiss_determinant, clear_denominators, matrix_rank
 from .frames import scaled_vectors_7_28
 from .lattice import LatticeModel, MinVecReport
 
@@ -39,31 +41,30 @@ class PerfectionReport:
 def strong_eutaxy_check(model: LatticeModel, report: MinVecReport) -> EutaxyReport:
     """Test whether the signed minimal vectors form a spherical 2-design.
 
-    Forms M = sum of x x' over all signed minimal vectors (twice the sum over
-    the stored +- representatives) and checks M Q = c I for a rational c > 0.
-    That is the basis-coordinate restatement of the Cartesian condition
-    sum(v v') = c I, so no irrational square roots ever enter.  The signed sum
-    of the minimal vectors themselves vanishes identically because the set is
-    closed under negation.
+    Forms the integer matrix S = sum of x x' over all signed minimal vectors
+    (twice the sum over the stored +- representatives) and checks
+    S·(scale·Q) = c'·I for an integer c' > 0; then c = c'/scale.  That is the
+    basis-coordinate restatement of the Cartesian condition sum(v v') = c I,
+    so no irrational square roots ever enter.  The signed sum of the minimal
+    vectors themselves vanishes identically because the set is closed under
+    negation.
     """
     k = model.k
-    m = [[Fraction(0)] * k for _ in range(k)]
-    for x in report.vectors:
-        for i in range(k):
-            xi2 = 2 * x[i]
-            for j in range(k):
-                m[i][j] += xi2 * x[j]
-    mq = mat_mul(m, model.gram)
-    c = mq[0][0]
+    vecs = report.vectors
+    s = [[2 * sum(x[i] * x[j] for x in vecs) for j in range(k)] for i in range(k)]
+    scale, q = clear_denominators(model.gram)
+    # q is symmetric, so its rows serve as its columns
+    sq = [[sum(a * b for a, b in zip(row, col)) for col in q] for row in s]
+    c = sq[0][0]
     is_parseval = c > 0 and all(
-        mq[i][j] == (c if i == j else 0) for i in range(k) for j in range(k)
+        sq[i][j] == (c if i == j else 0) for i in range(k) for j in range(k)
     )
     # Each stored representative stands for the pair {x, -x}, so the signed
     # sum telescopes to the zero vector with no computation needed.
     sum_is_zero = True
     return EutaxyReport(
         is_strongly_eutactic=is_parseval and sum_is_zero,
-        parseval_constant=c if is_parseval else None,
+        parseval_constant=Fraction(c, scale) if is_parseval else None,
         sum_is_zero=sum_is_zero,
     )
 

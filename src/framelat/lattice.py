@@ -1,11 +1,12 @@
 """Lattices from coordinate frames: exact short-vector enumeration,
 determinants, packing density, and scalar-orthogonal equivalence.
 
-Everything except packing_density and the non-lattice demo is exact rational
-arithmetic.  Short vectors are found with a Fincke-Pohst depth-first search on
-the LDL' factorization of the Gram matrix, with interval endpoints computed by
-exact integer square-root comparisons, and cross-checked elsewhere against a
-certified brute-force box scan.
+Everything except packing_density and the non-lattice demo is exact.  Each
+LatticeModel carries one fraction-free LDL' of its Gram matrix, scaled to
+integers; it settles positive definiteness and the determinant, and drives a
+Fincke-Pohst depth-first search whose intervals come from math.isqrt on
+integers.  The search is cross-checked elsewhere against a certified
+brute-force box scan.
 """
 
 from __future__ import annotations
@@ -13,15 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Optional
 
 from .exact import (
+    LDLDecomposition,
     Mat,
     PivotBreakdownError,
     SizeMismatchError,
     SurdValue,
     bareiss_determinant,
+    clear_denominators,
     floor_sqrt,
     ldl_decompose,
     mat_inverse,
@@ -45,6 +49,11 @@ class LatticeModel:
     k: int
     gram: list  # k x k symmetric positive definite rational matrix
     coord_frame: Optional[CoordinateFrame] = None
+
+    @cached_property
+    def ldl(self) -> LDLDecomposition:
+        """The Gram's one LDL'; raises NotPositiveDefiniteError."""
+        return _pd_ldl(self.gram)
 
 
 @dataclass(frozen=True)
@@ -95,70 +104,46 @@ def _pd_ldl(gram):
 
 def lattice_determinant(model: LatticeModel) -> SurdValue:
     """Exact sqrt(det gram) as coefficient times a squarefree radical."""
-    _pd_ldl(model.gram)
-    return sqrt_rational(bareiss_determinant(model.gram))
-
-
-def _floor_sqrt_minus(r: Fraction, c: Fraction) -> int:
-    # largest integer z with z + c <= sqrt(r); float seed, exact fix-up
-    try:
-        g = int(math.floor(math.sqrt(float(r)) - float(c)))
-    except (OverflowError, ValueError):
-        g = 0
-
-    def le_sqrt(x):
-        return x <= 0 or x * x <= r
-
-    while le_sqrt(g + 1 + c):
-        g += 1
-    while not le_sqrt(g + c):
-        g -= 1
-    return g
+    dec = model.ldl  # det(scale·gram) is the last leading minor
+    return sqrt_rational(F(dec.minors[-1], dec.scale ** model.k))
 
 
 def enumerate_short_vectors(model: LatticeModel, bound_sq) -> list:
     """All nonzero integer x with x'·gram·x <= bound_sq, exactly.
 
-    Depth-first over coordinates x_{k-1}..x_0 with per-level intervals from
-    the LDL' factorization.  One canonical representative per +- pair (first
-    nonzero coordinate positive), sorted lexicographically.
+    With LDL' rows u_j, minors Δ_j, M = lcm(Δ_j Δ_{j+1}) and
+    w_j = M / (Δ_j Δ_{j+1}), the condition is the integer inequality
+    Σ_j w_j (Δ_{j+1} x_j + s_j)² <= M·floor(bound_sq·scale) with
+    s_j = Σ_{i>j} u_j[i] x_i.  Depth first over x_{k-1}..x_0, level j keeps
+    |Δ_{j+1} x_j + s_j| <= isqrt(rem // w_j).  One canonical representative
+    per +- pair (first nonzero coordinate positive), sorted lexicographically.
     """
-    gram = model.gram
     k = model.k
-    dec = _pd_ldl(gram)
-    low, diag = dec.unit_lower, dec.diag
-    cols = [[low[i][j] for i in range(k)] for j in range(k)]
-    bound = F(bound_sq)
-    out = []
+    dec = model.ldl
+    u = dec.rows
+    delta = [1, *dec.minors]
+    m = math.lcm(*(delta[j] * delta[j + 1] for j in range(k)))
+    w = [m // (delta[j] * delta[j + 1]) for j in range(k)]
+    bound = F(bound_sq) * dec.scale
+    out = set()
     x = [0] * k
 
-    def descend(j: int, rem: Fraction) -> None:
+    def descend(j: int, rem: int) -> None:
         if j < 0:
             if any(x):
-                out.append(tuple(x))
+                out.add(_canonical(x))
             return
-        c = sum(cols[j][i] * x[i] for i in range(j + 1, k))
-        s2 = rem / diag[j]
-        lo = -_floor_sqrt_minus(s2, -c)
-        hi = _floor_sqrt_minus(s2, c)
-        for v in range(lo, hi + 1):
+        s = sum(u[j][i] * x[i] for i in range(j + 1, k))
+        d = delta[j + 1]
+        r = math.isqrt(rem // w[j])
+        for v in range(-((r + s) // d), (r - s) // d + 1):
             x[j] = v
-            descend(j - 1, rem - diag[j] * (v + c) ** 2)
+            t = d * v + s
+            descend(j - 1, rem - w[j] * t * t)
         x[j] = 0
 
-    descend(k - 1, bound)
-    canon = set()
-    for v in out:
-        first = next(t for t in v if t)
-        if first < 0:
-            v = tuple(-t for t in v)
-        canon.add(v)
-    return sorted(canon)
-
-
-def norm_sq(gram, x) -> Fraction:
-    k = len(x)
-    return sum(F(x[i]) * gram[i][j] * x[j] for i in range(k) for j in range(k))
+    descend(k - 1, m * max(0, bound.numerator // bound.denominator))
+    return sorted(out)
 
 
 def minimal_vectors(model: LatticeModel) -> MinVecReport:
@@ -170,10 +155,12 @@ def minimal_vectors(model: LatticeModel) -> MinVecReport:
     """
     bound = min(model.gram[i][i] for i in range(model.k))
     short = enumerate_short_vectors(model, bound)
-    norms = [norm_sq(model.gram, v) for v in short]
+    scale, q = clear_denominators(model.gram)
+    norms = [sum(xi * sum(e * xj for e, xj in zip(row, x)) for xi, row in zip(x, q))
+             for x in short]
     least = min(norms)
     vecs = [v for v, t in zip(short, norms) if t == least]
-    return MinVecReport(min_norm_sq=least, vectors=vecs,
+    return MinVecReport(min_norm_sq=F(least, scale), vectors=vecs,
                         count_with_signs=2 * len(vecs))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -181,6 +182,25 @@ def test_analyze_csv_flattens_surds(capsys):
     assert cols["detSurdCoeff"] == "5/16"
     assert cols["detSurdRadicand"] == "5"
     assert cols["label"] == "simplex:4"
+
+
+# SHA-256 of `--format json` stdout, recorded before the lattice layer moved
+# from a Fraction LDL to the fraction-free one; any byte of drift fails.
+PINNED_JSON_SHA256 = {
+    ("table1",): "f90e4f1ba3fcd0c3a2e2643c892bec5b3fb7994502d206d30e06004630c366fd",
+    ("analyze", "conference:25:0"): "b7efeae750436ca88162c431c08b554019372b42ee04cdbfcac0de22477984fb",
+    ("analyze", "conference:13:0"): "3d324db5ea2eb8f00ff4fdda2d03e168f57afdf200da74ab874901e624c45ab5",
+    ("analyze", "simplex:24"): "f5f826bc8ac9606da2534a7313bcce6fa4eb95d70b3527a300beab936ba8dbdb",
+    ("analyze", "explicit:6x16"): "77f21c41680ab0fe8b1eb7460821476a0cd018393d0ce52185ed9abb808d8912",
+    ("analyze", "explicit:7x28"): "152176e2e384b8ac2101402950c1ca4ae736e267a6ab96d2b0625e8790bbee97",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_JSON_SHA256), ids="-".join)
+def test_json_output_is_byte_identical_to_the_pin(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_SHA256[argv]
 
 
 def test_cli_import_loads_no_numpy():

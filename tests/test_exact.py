@@ -90,7 +90,7 @@ def test_determinant_integer_inputs_stay_exact():
 # ---------------------------------------------------------------------------
 
 def test_rank_zero_matrix():
-    assert matrix_rank(exact.zeros(4, 4)) == 0
+    assert matrix_rank([[0] * 4 for _ in range(4)]) == 0
 
 
 def test_rank_of_products():
@@ -184,15 +184,18 @@ def test_inverse_roundtrip():
 # ---------------------------------------------------------------------------
 
 def reconstruct(dec: LDLDecomposition):
-    k = len(dec.diag)
-    d = [[dec.diag[i] if i == j else F(0) for j in range(k)] for i in range(k)]
-    return mat_mul(mat_mul(dec.unit_lower, d), exact.transpose(dec.unit_lower))
+    """scale·Q rebuilt as the sum of u_j u_j' / (Δ_j Δ_{j+1})."""
+    u = dec.rows
+    delta = [1] + [u[j][j] for j in range(len(u))]
+    return [[sum(F(u[t][i] * u[t][j], delta[t] * delta[t + 1]) for t in range(len(u)))
+             for j in range(len(u))] for i in range(len(u))]
 
 
 def test_ldl_identity():
     dec = ldl_decompose(identity(4))
-    assert dec.unit_lower == identity(4)
-    assert dec.diag == [F(1)] * 4
+    assert dec.scale == 1
+    assert dec.rows == [[int(i == j) for j in range(4)] for i in range(4)]
+    assert dec.minors == [1] * 4
 
 
 def test_ldl_semidefinite_breaks_down():
@@ -211,16 +214,20 @@ def test_ldl_reconstruction_property():
             q[i][i] += 1
         dec = ldl_decompose(q)
         assert dec.is_positive_definite()
-        assert reconstruct(dec) == q
-        for i in range(k):
-            assert dec.unit_lower[i][i] == 1
-            for j in range(i + 1, k):
-                assert dec.unit_lower[i][j] == 0
+        scaled = [[dec.scale * v for v in row] for row in q]
+        assert all(v.denominator == 1 for row in scaled for v in row)
+        assert reconstruct(dec) == scaled
+        for j in range(k):
+            assert all(type(v) is int for v in dec.rows[j])
+            assert dec.rows[j][:j] == [0] * j
+            lead = [row[:j + 1] for row in scaled[:j + 1]]
+            assert dec.minors[j] == cofactor_determinant(lead)
 
 
 def test_ldl_indefinite_has_negative_diag():
     dec = ldl_decompose(mat([[1, 2], [2, 1]]))
     assert not dec.is_positive_definite()
+    assert dec.minors == [1, -3]
     assert reconstruct(dec) == mat([[1, 2], [2, 1]])
 
 

@@ -31,7 +31,6 @@ from framelat.lattice import (
     lattice_model,
     minimal_vectors,
     non_lattice_witness_3_6,
-    norm_sq,
     packing_density,
     scalar_orthogonal_equivalence,
 )
@@ -42,6 +41,16 @@ F = Fraction
 def model_from_gram(rows):
     gram = [[F(v) for v in row] for row in rows]
     return LatticeModel(k=len(gram), gram=gram)
+
+
+def random_pd_gram(rng, k):
+    """a'a/d + I with small integer a and d: positive definite, mixed denominators."""
+    a = [[F(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
+    d = rng.randint(1, 6)
+    q = [[v / d for v in row] for row in mat_mul(transpose(a), a)]
+    for i in range(k):
+        q[i][i] += 1
+    return q
 
 
 # --- alpha gate ---------------------------------------------------------------
@@ -146,6 +155,14 @@ def test_determinant_unimodular_invariance():
         assert lattice_determinant(model_from_gram(q2)) == base
 
 
+def test_determinant_ldl_matches_bareiss_random():
+    # the LDL' minors and the Gauss-Jordan elimination share no code
+    rng = random.Random(8080)
+    for _ in range(60):
+        q = random_pd_gram(rng, rng.randint(1, 6))
+        assert lattice_determinant(model_from_gram(q)).squared() == bareiss_determinant(q)
+
+
 def random_unimodular(rng, k):
     # product of elementary row additions and sign flips keeps |det| = 1
     m = [[F(1 if i == j else 0) for j in range(k)] for i in range(k)]
@@ -248,17 +265,24 @@ def test_basis_of_minimal_vectors_false():
 # --- brute-force oracle ------------------------------------------------------------
 
 def test_brute_force_matches_fincke_pohst_random():
+    # integer and fractional bounds, and bounds equal to an attained norm,
+    # where an off-by-one in floor(bound·scale) or in the interval ends shows
     rng = random.Random(424242)
-    for _ in range(30):
-        k = rng.randint(1, 4)
-        a = [[F(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
-        q = mat_mul(transpose(a), a)
-        for i in range(k):
-            q[i][i] += 1
-        model = model_from_gram(q)
-        bound = F(rng.randint(1, 4))
-        assert brute_force_short_vectors(model, bound) == \
-            enumerate_short_vectors(model, bound)
+    for trial in range(60):
+        k = rng.randint(1, 5)
+        model = model_from_gram(random_pd_gram(rng, k))
+        if trial % 3 == 0:
+            bound = F(rng.randint(1, 4))
+        elif trial % 3 == 1:
+            bound = F(rng.randint(1, 12), rng.randint(2, 5))
+        else:
+            y = [rng.randint(-1, 1) for _ in range(k)]
+            y[rng.randrange(k)] = 1
+            bound = sum(y[i] * model.gram[i][j] * y[j] for i in range(k) for j in range(k))
+        found = enumerate_short_vectors(model, bound)
+        assert brute_force_short_vectors(model, bound) == found
+        if trial % 3 == 2:
+            assert tuple(y) in found or tuple(-v for v in y) in found
 
 
 def test_brute_force_named_lattices():
