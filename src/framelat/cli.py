@@ -4,7 +4,9 @@ Subcommands reproduce the headline results end to end: the summary table of
 lattice families, the circulant conference-pair searches with a persistent
 cache, full per-lattice analysis reports, a self-contained verification
 matrix, and the shrinking-vector demonstration that the icosahedral frame
-spans no lattice.  Every command renders as text, JSON, or CSV.
+spans no lattice.  Each command builds one record, its JSON document, and
+``render`` prints that as JSON, as the command's CSV table, or through its text
+template.  A command accepts only the flags it reads (see ``COMMANDS``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cache error.
 """
@@ -18,8 +20,9 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
 from . import circulant, frames, geometry, lattice
 from .circulant import CacheCorruptError, ConferencePair
@@ -37,11 +40,9 @@ KNOWN_SEARCH_SIZES = (5, 13, 25)
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     cache_path: str | None = None
-    output_format: str = "text"
     no_cache: bool = False
-    skip: tuple = ()
+    skip: Sequence[str] = ()
     allow_unverified: bool = False
 
 
@@ -61,12 +62,13 @@ def _surd_obj(s: SurdValue) -> dict:
     return {"coeff": _fr(s.coeff), "radicand": s.radicand}
 
 
-def _surd_text(s: SurdValue) -> str:
-    if s.radicand == 1:
-        return _fr(s.coeff)
-    if s.coeff == 1:
-        return f"sqrt({s.radicand})"
-    return f"({_fr(s.coeff)})*sqrt({s.radicand})"
+def _surd_text(s: dict) -> str:
+    """A surd record as 4/9, sqrt(5) or (5/16)*sqrt(5)."""
+    if s["radicand"] == 1:
+        return s["coeff"]
+    if s["coeff"] == "1":
+        return f"sqrt({s['radicand']})"
+    return f"({s['coeff']})*sqrt({s['radicand']})"
 
 
 def _dec(v: float) -> str:
@@ -86,16 +88,37 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+# Record keys holding a surd (or None), and the prefix of their two CSV columns.
+SURD_COLUMNS = {"detSurd": "detSurd", "alpha": "alpha", "cosine": "cosine", "volumeSurd": "volume"}
+
+
+def _surd_table(records: list) -> tuple[list, list]:
+    """CSV header and rows of flat records; a surd becomes coefficient and radicand columns."""
+    rows = []
+    for record in records:
+        header, row = [], []
+        for key, val in record.items():
+            if key in SURD_COLUMNS:
+                header += [SURD_COLUMNS[key] + "Coeff", SURD_COLUMNS[key] + "Radicand"]
+                row += [val["coeff"], val["radicand"]] if val else ["", ""]
+            else:
+                header.append(key)
+                row.append("" if val is None else val)
+        rows.append(row)
+    return header, rows
+
+
 # --- conference-pair plumbing --------------------------------------------------
 
 
-def default_cache_path(k: int) -> str:
-    return os.path.join("cache", f"conference-{k}.json")
-
-
 def load_or_search(k: int, cfg: RunConfig) -> tuple[list, str]:
-    """Return (pairs, source) honoring the cache unless --no-cache was given."""
-    path = cfg.cache_path or default_cache_path(k)
+    """Return (pairs, source) honoring the cache unless --no-cache was given;
+    a size outside KNOWN_SEARCH_SIZES needs --allow-unverified."""
+    if k not in KNOWN_SEARCH_SIZES and not cfg.allow_unverified:
+        raise UsageError(
+            f"k = {k} is outside the verified sizes {KNOWN_SEARCH_SIZES}; "
+            "pass --allow-unverified to search anyway")
+    path = cfg.cache_path or os.path.join("cache", f"conference-{k}.json")
     if cfg.cache_path and os.path.isdir(cfg.cache_path):
         # a directory holds one file per size, so multi-size commands work too
         path = os.path.join(cfg.cache_path, f"conference-{k}.json")
@@ -122,19 +145,12 @@ def _pair_facts(p: ConferencePair) -> dict:
     }
 
 
-def _variant_gram(p: ConferencePair, variant: str) -> list:
-    """Gram of one natural basis, I +- A/alpha, straight from the sign row."""
-    alpha = frames.conference_alpha(p.k)
-    sign = 1 if variant == "plus" else -1
-    a_mat = circulant.circulant_matrix(p.a_row)
-    return [[Fraction(1) if i == j else Fraction(sign * a_mat[i][j], alpha)
-             for j in range(p.k)] for i in range(p.k)]
-
-
 # --- analyze -------------------------------------------------------------------
 
+EXPLICIT_FRAMES = {"explicit:6x16": frames.frame_6_16, "explicit:7x28": frames.frame_7_28}
 
-def lattice_report(label: str, n: int, cf) -> dict:
+
+def lattice_report(label: str, cf) -> dict:
     """Full analysis record for one coordinatized frame (the JSON schema)."""
     model = lattice.lattice_model(cf)
     det = lattice.lattice_determinant(model)
@@ -143,7 +159,7 @@ def lattice_report(label: str, n: int, cf) -> dict:
     pf = geometry.perfection_rank(model, rep)
     out = {
         "k": model.k,
-        "n": n,
+        "n": cf.frame.n,
         "label": label,
         "isLattice": True,
         "beta": cf.beta,
@@ -176,37 +192,29 @@ def _non_lattice_report(label: str, k: int, n: int) -> dict:
     }
 
 
+def _selector_int(text: str, what: str, label: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad {what} in {label!r}")
+
+
 def analyze_selector(label: str, cfg: RunConfig) -> dict:
     parts = label.split(":")
     if parts[0] == "simplex" and len(parts) == 2:
-        try:
-            k = int(parts[1])
-        except ValueError:
-            raise UsageError(f"bad simplex size in {label!r}")
+        k = _selector_int(parts[1], "simplex size", label)
         if k < 2:
             raise UsageError("simplex needs k >= 2")
         _, cf = frames.simplex_frame(k)
-        return lattice_report(label, k + 1, cf)
+        return lattice_report(label, cf)
     if parts[0] == "conference" and 2 <= len(parts) <= 4:
-        try:
-            k = int(parts[1])
-        except ValueError:
-            raise UsageError(f"bad conference size in {label!r}")
+        k = _selector_int(parts[1], "conference size", label)
         if k < 3 or k % 2 == 0:
             raise UsageError("conference selectors need odd k >= 3")
         if not lattice.alpha_gate(k, 2 * k).is_lattice:
             return _non_lattice_report(label, k, 2 * k)
-        if k not in KNOWN_SEARCH_SIZES and not cfg.allow_unverified:
-            raise UsageError(
-                f"k = {k} is outside the verified sizes {KNOWN_SEARCH_SIZES}; "
-                "pass --allow-unverified to search anyway")
         pairs, _ = load_or_search(k, cfg)
-        index = 0
-        if len(parts) >= 3:
-            try:
-                index = int(parts[2])
-            except ValueError:
-                raise UsageError(f"bad pair index in {label!r}")
+        index = _selector_int(parts[2], "pair index", label) if len(parts) >= 3 else 0
         if not 0 <= index < len(pairs):
             raise UsageError(f"pair index {index} out of range (k = {k} has {len(pairs)} pairs)")
         pair = pairs[index]
@@ -214,46 +222,41 @@ def analyze_selector(label: str, cfg: RunConfig) -> dict:
         if variant not in ("plus", "minus"):
             raise UsageError(f"variant must be plus or minus, got {variant!r}")
         _, cf = frames.conference_frame(pair, variant)
-        return lattice_report(label, 2 * k, cf)
-    if label == "explicit:6x16":
-        _, cf = frames.frame_6_16()
-        return lattice_report(label, 16, cf)
-    if label == "explicit:7x28":
-        _, cf = frames.frame_7_28()
-        return lattice_report(label, 28, cf)
+        return lattice_report(label, cf)
+    if label in EXPLICIT_FRAMES:
+        _, cf = EXPLICIT_FRAMES[label]()
+        return lattice_report(label, cf)
     raise UsageError(
         f"unknown selector {label!r}; use simplex:k, conference:k[:pair[:variant]], "
         "explicit:6x16, or explicit:7x28")
 
 
-def _render_analyze(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2)
-    if fmt == "csv":
-        keys = list(report)
-        flat_keys, flat_vals = [], []
-        for key in keys:
-            val = report[key]
-            if isinstance(val, dict):  # surd: two lossless columns
-                flat_keys += [f"{key}Coeff", f"{key}Radicand"]
-                flat_vals += [val["coeff"], val["radicand"]]
-            else:
-                flat_keys.append(key)
-                flat_vals.append("" if val is None else val)
-        return _csv_text(flat_keys, [flat_vals])
+def _analyze_text(report: dict) -> str:
     lines = [f"analysis of {report['label']}"]
     for key, val in report.items():
         if key == "label":
             continue
         if isinstance(val, dict):
-            val = _surd_text(SurdValue(Fraction(val["coeff"]), val["radicand"]))
+            val = _surd_text(val)
         lines.append(f"  {key} = {val}")
     return "\n".join(lines)
 
 
 # --- table1 --------------------------------------------------------------------
 
-TABLE1_SIMPLEX_K = 4  # the generic (k+1,k) row, instantiated
+# (family, k, n, analyze selector); no selector where the frame spans no lattice.
+# The generic (k+1,k) family is instantiated at k = 4.
+TABLE1_FAMILIES = (
+    ("(k+1,k) k=4", 4, 5, "simplex:4"),
+    ("(3,6)", 3, 6, None),
+    ("(5,10)", 5, 10, "conference:5:0:plus"),
+    ("(6,16)", 6, 16, "explicit:6x16"),
+    ("(7,14)", 7, 14, None),
+    ("(7,28)", 7, 28, "explicit:7x28"),
+    ("(9,18)", 9, 18, None),
+    ("(13,26)", 13, 26, "conference:13:0"),
+    ("(25,50)", 25, 50, "conference:25:0"),
+)
 
 
 def _cosine_surd(k: int, n: int) -> SurdValue:
@@ -264,77 +267,33 @@ def _cosine_surd(k: int, n: int) -> SurdValue:
 
 def table1_rows(cfg: RunConfig) -> list:
     rows = []
-
-    def lattice_row(family, report):
-        rows.append({
-            "family": family,
-            "k": report["k"],
-            "n": report["n"],
-            "cosine": _surd_obj(_cosine_surd(report["k"], report["n"])),
-            "cosineFloat": float(_cosine_surd(report["k"], report["n"])),
-            "isLattice": True,
-            "volumeSurd": report["detSurd"],
-            "volumeFloat": report["detFloat"],
-            "framesAreMinimal": report["framesAreMinimal"],
-            "basisOfMinimalVectors": report["basisOfMinimalVectors"],
-            "perfect": report["perfect"],
-        })
-
-    def no_lattice_row(family, k, n):
+    for family, k, n, selector in TABLE1_FAMILIES:
+        report = analyze_selector(selector, cfg) if selector else {}
+        cosine = _cosine_surd(k, n)
         rows.append({
             "family": family,
             "k": k,
             "n": n,
-            "cosine": _surd_obj(_cosine_surd(k, n)),
-            "cosineFloat": float(_cosine_surd(k, n)),
-            "isLattice": False,
-            "volumeSurd": None,
-            "volumeFloat": None,
-            "framesAreMinimal": None,
-            "basisOfMinimalVectors": None,
-            "perfect": None,
+            "cosine": _surd_obj(cosine),
+            "cosineFloat": float(cosine),
+            "isLattice": selector is not None,
+            "volumeSurd": report.get("detSurd"),
+            "volumeFloat": report.get("detFloat"),
+            "framesAreMinimal": report.get("framesAreMinimal"),
+            "basisOfMinimalVectors": report.get("basisOfMinimalVectors"),
+            "perfect": report.get("perfect"),
         })
-
-    sk = TABLE1_SIMPLEX_K
-    lattice_row(f"(k+1,k) k={sk}", analyze_selector(f"simplex:{sk}", cfg))
-    no_lattice_row("(3,6)", 3, 6)
-    lattice_row("(5,10)", analyze_selector("conference:5:0:plus", cfg))
-    lattice_row("(6,16)", analyze_selector("explicit:6x16", cfg))
-    no_lattice_row("(7,14)", 7, 14)
-    lattice_row("(7,28)", analyze_selector("explicit:7x28", cfg))
-    no_lattice_row("(9,18)", 9, 18)
-    lattice_row("(13,26)", analyze_selector("conference:13:0", cfg))
-    lattice_row("(25,50)", analyze_selector("conference:25:0", cfg))
     return rows
 
 
-def _render_table1(rows: list, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps({"rows": rows}, indent=2)
-    if fmt == "csv":
-        header = ["family", "k", "n", "cosineCoeff", "cosineRadicand", "cosineFloat",
-                  "isLattice", "volumeCoeff", "volumeRadicand", "volumeFloat",
-                  "framesAreMinimal", "basisOfMinimalVectors", "perfect"]
-        out = []
-        for r in rows:
-            vol = r["volumeSurd"] or {"coeff": "", "radicand": ""}
-            out.append([r["family"], r["k"], r["n"],
-                        r["cosine"]["coeff"], r["cosine"]["radicand"], r["cosineFloat"],
-                        r["isLattice"], vol["coeff"], vol["radicand"],
-                        "" if r["volumeFloat"] is None else r["volumeFloat"],
-                        "" if r["framesAreMinimal"] is None else r["framesAreMinimal"],
-                        "" if r["basisOfMinimalVectors"] is None else r["basisOfMinimalVectors"],
-                        "" if r["perfect"] is None else r["perfect"]])
-        return _csv_text(header, out)
+def _table1_text(record: dict) -> str:
     lines = [f"{'(k,n)':<14} {'cosine 1/alpha':<24} {'fundamental volume':<32} minimal = frame? basis?"]
-    for r in rows:
-        cosine = SurdValue(Fraction(r["cosine"]["coeff"]), r["cosine"]["radicand"])
-        cos_txt = f"{_surd_text(cosine)} = {_dec(r['cosineFloat'])}"
+    for r in record["rows"]:
+        cos_txt = f"{_surd_text(r['cosine'])} = {_dec(r['cosineFloat'])}"
         if not r["isLattice"]:
             lines.append(f"{r['family']:<14} {cos_txt:<24} {'no lattice':<32}")
             continue
-        vol = SurdValue(Fraction(r["volumeSurd"]["coeff"]), r["volumeSurd"]["radicand"])
-        vol_txt = f"{_surd_text(vol)} = {_dec(r['volumeFloat'])}"
+        vol_txt = f"{_surd_text(r['volumeSurd'])} = {_dec(r['volumeFloat'])}"
         verdict = f"{'Yes' if r['framesAreMinimal'] else 'No'}, " \
                   f"{'Yes' if r['basisOfMinimalVectors'] else 'No'}"
         if r["perfect"]:
@@ -349,10 +308,6 @@ def _render_table1(rows: list, fmt: str) -> str:
 def search_report(k: int, cfg: RunConfig) -> dict:
     if k < 3 or k % 2 == 0:
         raise UsageError("search needs an odd k >= 3")
-    if k not in KNOWN_SEARCH_SIZES and not cfg.allow_unverified:
-        raise UsageError(
-            f"k = {k} is outside the verified sizes {KNOWN_SEARCH_SIZES}; "
-            "pass --allow-unverified to search anyway")
     pairs, source = load_or_search(k, cfg)
     entries = []
     rational_alpha = sqrt_rational(2 * k - 1).radicand == 1
@@ -377,19 +332,18 @@ def _classify(entry: dict) -> str:
     return "neither integral"
 
 
-def _render_search(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2)
-    if fmt == "csv":
-        header = ["index", "aRow", "dRow", "detD", "detAlphaPlusA", "detAlphaMinusA",
-                  "nIntegral", "nInverseIntegral"]
-        rows = [[e["index"], _sign_row(e["aRow"]), _sign_row(e["dRow"]),
-                 e.get("detD", ""), e.get("detAlphaPlusA", ""), e.get("detAlphaMinusA", ""),
-                 e.get("nIntegral", ""), e.get("nInverseIntegral", "")]
-                for e in report["pairs"]]
-        return _csv_text(header, rows)
-    k = report["k"]
-    lines = [f"k = {k}: {report['count']} conference pairs ({report['source']})"]
+def _search_table(report: dict) -> tuple[list, list]:
+    header = ["index", "aRow", "dRow", "detD", "detAlphaPlusA", "detAlphaMinusA",
+              "nIntegral", "nInverseIntegral"]
+    rows = [[e["index"], _sign_row(e["aRow"]), _sign_row(e["dRow"]),
+             e.get("detD", ""), e.get("detAlphaPlusA", ""), e.get("detAlphaMinusA", ""),
+             e.get("nIntegral", ""), e.get("nInverseIntegral", "")]
+            for e in report["pairs"]]
+    return header, rows
+
+
+def _search_text(report: dict) -> str:
+    lines = [f"k = {report['k']}: {report['count']} conference pairs ({report['source']})"]
     for e in report["pairs"]:
         line = f"  t{e['index'] + 1}: a = {_sign_row(e['aRow'])}, d = {_sign_row(e['dRow'])}"
         if "detD" in e:
@@ -410,13 +364,13 @@ def demo_report(steps: int) -> dict:
     ]}
 
 
-def _render_demo(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2)
-    if fmt == "csv":
-        rows = [[s["step"], " ".join(str(c) for c in s["coefficients"]), repr(s["normSq"])]
-                for s in report["steps"]]
-        return _csv_text(["step", "coefficients", "normSq"], rows)
+def _demo_table(report: dict) -> tuple[list, list]:
+    return ["step", "coefficients", "normSq"], [
+        [s["step"], " ".join(str(c) for c in s["coefficients"]), repr(s["normSq"])]
+        for s in report["steps"]]
+
+
+def _demo_text(report: dict) -> str:
     lines = ["integer combinations of the six icosahedral frame vectors, shrinking to 0:"]
     for s in report["steps"]:
         coeffs = "(" + ", ".join(str(c) for c in s["coefficients"]) + ")"
@@ -478,7 +432,7 @@ def _check_search_counts(cfg):
     return True, "4 / 12 / 20 pairs at k = 5 / 13 / 25; two search strategies agree"
 
 
-def _check_5_10(cfg):
+def _check_5_10():
     pairs = circulant.search_conference_pairs(5)
     expected_n = [(1, 0, -1, -1, 0), (-1, 0, 1, 1, 0), (1, -1, 0, 0, -1), (-1, 1, 0, 0, 1)]
     for p, want in zip(pairs, expected_n):
@@ -490,23 +444,24 @@ def _check_5_10(cfg):
             return False, "det D = +-48 / det(3I+A) = 48 violated"
         if not facts["nIntegral"] or not facts["nInverseIntegral"]:
             return False, "N and N^-1 should both be integral at k = 5"
+    grams = []
     for p in pairs:
         _, cf = frames.conference_frame(p, "plus")
         model = lattice.lattice_model(cf)
+        grams.append(model.gram)
         if lattice.lattice_determinant(model) != SurdValue(Fraction(4, 9), 1):
             return False, "lattice determinant != 4/9"
         rep = lattice.minimal_vectors(model)
         if rep.count_with_signs != 20 or not lattice.frame_vectors_are_minimal(model, rep):
             return False, "expected 20 signed minimal vectors equal to the frame"
-    if lattice.scalar_orthogonal_equivalence(_variant_gram(pairs[0], "plus"),
-                                            _variant_gram(pairs[2], "plus")) is not None:
+    if lattice.scalar_orthogonal_equivalence(grams[0], grams[2]) is not None:
         return False, "B1 and B3 Grams unexpectedly equivalent"
     return True, "N rows, det D = +-48, det(3I+A) = 48, volume 4/9, B1 !~ B3"
 
 
-def _check_13_26(cfg):
+def _check_13_26():
     pairs = circulant.search_conference_pairs(13)
-    n_int, inv_int = [], []
+    n_int, inv_int, grams = [], [], []
     for p in pairs:
         facts = _pair_facts(p)
         if abs(facts["detD"]) != 7680000:
@@ -522,13 +477,13 @@ def _check_13_26(cfg):
     for i, p in enumerate(pairs):
         _, cf = frames.conference_frame(p, frames.preferred_variant(p))
         model = lattice.lattice_model(cf)
+        grams.append(model.gram)
         det = lattice.lattice_determinant(model)
         if det != SurdValue(Fraction(64, 3125), 5) or abs(float(det) - 0.0458) > 1e-4:
             return False, f"pair {i}: determinant surd mismatch"
         rep = lattice.minimal_vectors(model)
         if rep.count_with_signs != 52 or not lattice.frame_vectors_are_minimal(model, rep):
             return False, f"pair {i}: expected 52 signed minimal vectors equal to the frame"
-    grams = [_variant_gram(p, frames.preferred_variant(p)) for p in pairs]
     classes = lattice.equivalence_classes(grams)
     if classes != [[0, 1, 10, 11], [2, 3, 8, 9], [4, 5, 6, 7]]:
         return False, f"equivalence classes {classes} differ from the expected three"
@@ -569,11 +524,11 @@ def _check_25_50_lattice(cfg):
         facts = _pair_facts(p)
         if not (facts["nIntegral"] and facts["nInverseIntegral"]):
             return False, "N and N^-1 should both be integral at k = 25"
-    model = lattice.LatticeModel(k=25, gram=_variant_gram(ordered[0], "plus"))
-    det = lattice.lattice_determinant(model)
+    grams = [frames.basis_gram(frames.conference_frame(p, "plus")[1]) for p in ordered[:10]]
+    det = lattice.lattice_determinant(lattice.LatticeModel(k=25, gram=grams[0]))
     if abs(float(det) - 0.00071052) > 1e-8:
         return False, f"determinant decimal {float(det)} != 0.00071052 within 1e-8"
-    classes = lattice.equivalence_classes([_variant_gram(p, "plus") for p in ordered[:10]])
+    classes = lattice.equivalence_classes(grams)
     if classes != [[i] for i in range(10)]:
         return False, f"expected 10 singleton classes, got {classes}"
     return True, "B_j = B_(j+10) pairing, determinant decimal, 10 singleton classes"
@@ -629,8 +584,8 @@ def _check_oracle_equivalence():
     for variant in ("plus", "minus"):
         _, cf = frames.conference_frame(p, variant)
         models.append((f"conference:5:0:{variant}", lattice.lattice_model(cf)))
-    for label in ("explicit:6x16", "explicit:7x28"):
-        _, cf = frames.frame_6_16() if label == "explicit:6x16" else frames.frame_7_28()
+    for label, build in EXPLICIT_FRAMES.items():
+        _, cf = build()
         models.append((label, lattice.lattice_model(cf)))
     for label, model in models:
         fast = set(lattice.enumerate_short_vectors(model, Fraction(1)))
@@ -721,8 +676,8 @@ def verification_checks(cfg: RunConfig) -> list:
         ("alpha-gate", _check_alpha_gate),
         ("simplex", _check_simplex),
         ("search-counts", lambda: _check_search_counts(cfg)),
-        ("5x10", lambda: _check_5_10(cfg)),
-        ("13x26", lambda: _check_13_26(cfg)),
+        ("5x10", _check_5_10),
+        ("13x26", _check_13_26),
         ("25x50-det-factorization", lambda: _check_25_50_det(cfg)),
         ("25x50-lattice", lambda: _check_25_50_lattice(cfg)),
         ("6x16", _check_6_16),
@@ -749,13 +704,13 @@ def verify_all_report(cfg: RunConfig) -> dict:
     }
 
 
-def _render_verify(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2)
-    if fmt == "csv":
-        rows = [[c["label"], c["ok"], c["detail"]] for c in report["checks"]]
-        rows += [[label, "skipped", ""] for label in report["skipped"]]
-        return _csv_text(["label", "ok", "detail"], rows)
+def _verify_table(report: dict) -> tuple[list, list]:
+    rows = [[c["label"], c["ok"], c["detail"]] for c in report["checks"]]
+    rows += [[label, "skipped", ""] for label in report["skipped"]]
+    return ["label", "ok", "detail"], rows
+
+
+def _verify_text(report: dict) -> str:
     width = max((len(c["label"]) for c in report["checks"]), default=0)
     width = max([width] + [len(s) for s in report["skipped"]])
     lines = []
@@ -768,7 +723,7 @@ def _render_verify(report: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-# --- argument parsing ----------------------------------------------------------
+# --- one report pipeline -------------------------------------------------------
 
 
 def _positive_int(text: str) -> int:
@@ -778,76 +733,91 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                        dest="output_format", help="report format")
-    common.add_argument("--cache", dest="cache_path", default=None,
-                        help="conference-pair cache file (default cache/conference-<k>.json)")
-    common.add_argument("--no-cache", action="store_true",
-                        help="neither read nor write the pair cache")
-    common.add_argument("--skip", action="append", default=[], metavar="LABEL",
-                        help="skip a verification check (repeatable), e.g. --skip 25x50")
-    common.add_argument("--allow-unverified", action="store_true",
-                        help="permit searches outside k in {5, 13, 25}")
+class Command(NamedTuple):
+    help: str
+    arguments: tuple  # (name, add_argument keywords): the positionals and the flags it reads
+    report: Callable  # (parsed args, RunConfig) -> record, the JSON document
+    table: Callable  # record -> (CSV header, CSV rows)
+    text: Callable  # record -> text report
 
+
+_CACHE_FLAGS = (
+    ("--cache", {"dest": "cache_path",
+                 "help": "conference-pair cache file (default cache/conference-<k>.json)"}),
+    ("--no-cache", {"action": "store_true", "help": "neither read nor write the pair cache"}),
+)
+_UNVERIFIED_FLAG = (
+    ("--allow-unverified", {"action": "store_true", "help": "permit searches outside k in {5, 13, 25}"}),
+)
+
+COMMANDS = {
+    "table1": Command(
+        "summary table over all studied (k,n) families", _CACHE_FLAGS,
+        lambda args, cfg: {"rows": table1_rows(cfg)},
+        lambda record: _surd_table(record["rows"]), _table1_text),
+    "search": Command(
+        "conference-pair search for one odd k",
+        (("k", {"type": int}), *_CACHE_FLAGS, *_UNVERIFIED_FLAG),
+        lambda args, cfg: search_report(args.k, cfg), _search_table, _search_text),
+    "analyze": Command(
+        "full analysis of one frame selector",
+        (("selector", {"help": "simplex:k | conference:k[:pair[:variant]] | "
+                               "explicit:6x16 | explicit:7x28"}),
+         *_CACHE_FLAGS, *_UNVERIFIED_FLAG),
+        lambda args, cfg: analyze_selector(args.selector, cfg),
+        lambda record: _surd_table([record]), _analyze_text),
+    "verify-all": Command(
+        "run the whole verification matrix",
+        (*_CACHE_FLAGS,
+         ("--skip", {"action": "append", "default": [], "metavar": "LABEL",
+                     "help": "skip a verification check (repeatable), e.g. --skip 25x50"})),
+        lambda args, cfg: verify_all_report(cfg), _verify_table, _verify_text),
+    "demo-nonlattice": Command(
+        "shrinking-vector walk in the icosahedral frame",
+        (("steps", {"nargs": "?", "type": _positive_int, "default": 12}),),
+        lambda args, cfg: demo_report(args.steps), _demo_table, _demo_text),
+}
+
+
+def render(record: dict, fmt: str, command: Command) -> str:
+    """The record as JSON, as the command's CSV table, or through its text template."""
+    if fmt == "json":
+        return json.dumps(record, indent=2)
+    if fmt == "csv":
+        return _csv_text(*command.table(record))
+    return command.text(record)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framelat",
         description="Equiangular tight frames, their coordinate lattices, and the "
                     "supporting circulant searches.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table1", parents=[common],
-                   help="summary table over all studied (k,n) families")
-    p_search = sub.add_parser("search", parents=[common],
-                              help="conference-pair search for one odd k")
-    p_search.add_argument("k", type=int)
-    p_analyze = sub.add_parser("analyze", parents=[common],
-                               help="full analysis of one frame selector")
-    p_analyze.add_argument("selector",
-                           help="simplex:k | conference:k[:pair[:variant]] | "
-                                "explicit:6x16 | explicit:7x28")
-    sub.add_parser("verify-all", parents=[common],
-                   help="run the whole verification matrix")
-    p_demo = sub.add_parser("demo-nonlattice", parents=[common],
-                            help="shrinking-vector walk in the icosahedral frame")
-    p_demo.add_argument("steps", nargs="?", type=_positive_int, default=12)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text",
+                       dest="output_format", help="report format")
+        for arg, keywords in command.arguments:
+            p.add_argument(arg, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        cache_path=args.cache_path,
-        output_format=args.output_format,
-        no_cache=args.no_cache,
-        skip=tuple(args.skip),
-        allow_unverified=args.allow_unverified,
-    )
+    command = COMMANDS[args.command]
+    given = vars(args)
+    cfg = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
     try:
-        if cfg.command == "table1":
-            print(_render_table1(table1_rows(cfg), cfg.output_format))
-            return 0
-        if cfg.command == "search":
-            print(_render_search(search_report(args.k, cfg), cfg.output_format))
-            return 0
-        if cfg.command == "analyze":
-            print(_render_analyze(analyze_selector(args.selector, cfg), cfg.output_format))
-            return 0
-        if cfg.command == "verify-all":
-            report = verify_all_report(cfg)
-            print(_render_verify(report, cfg.output_format))
-            return 0 if report["failed"] == 0 else 1
-        if cfg.command == "demo-nonlattice":
-            print(_render_demo(demo_report(args.steps), cfg.output_format))
-            return 0
-        raise UsageError(f"unknown command {cfg.command!r}")
+        record = command.report(args, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CacheCorruptError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 3
+    print(render(record, args.output_format, command))
+    return 1 if record.get("failed", 0) > 0 else 0
 
 
 if __name__ == "__main__":

@@ -41,11 +41,6 @@ class SizeMismatchError(ValueError):
 # matrix helpers
 # ---------------------------------------------------------------------------
 
-def mat(rows: Sequence[Sequence[Rational]]) -> Mat:
-    """Copy ``rows`` into a fresh Fraction matrix."""
-    return [[Fraction(v) for v in row] for row in rows]
-
-
 def identity(k: int) -> Mat:
     return [[Fraction(1 if i == j else 0) for j in range(k)] for i in range(k)]
 
@@ -326,15 +321,6 @@ def sqrt_rational(r: Rational) -> SurdValue:
     p, q = r.numerator, r.denominator
     m, f = squarefree_decompose(p * q)
     return SurdValue(Fraction(m, q), f)
-
-
-def is_rational_square(r: Rational) -> bool:
-    """True iff √r is rational (numerator and denominator are perfect squares)."""
-    r = Fraction(r)
-    if r < 0:
-        return False
-    p, q = r.numerator, r.denominator
-    return isqrt(p) ** 2 == p and isqrt(q) ** 2 == q
 
 
 def floor_sqrt(r: Rational) -> int:

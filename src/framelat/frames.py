@@ -61,7 +61,6 @@ class FrameSpec:
     gamma: Fraction
     alpha: SurdValue
     seidel: list  # n x n integer sign matrix, zero diagonal
-    label: str
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,7 @@ def simplex_frame(k: int) -> tuple[FrameSpec, CoordinateFrame]:
         raise ValueError("k must be at least 2")
     n = k + 1
     seidel = [[0 if i == j else -1 for j in range(n)] for i in range(n)]
-    spec = FrameSpec(k=k, n=n, gamma=F(n, k), alpha=SurdValue(F(k)),
-                     seidel=seidel, label=f"simplex:{k}")
+    spec = FrameSpec(k=k, n=n, gamma=F(n, k), alpha=SurdValue(F(k)), seidel=seidel)
     coords = [[F(-1)] for _ in range(k)]
     cf = CoordinateFrame(frame=spec, basis_indices=tuple(range(1, k + 1)),
                          coords=coords, beta=1)
@@ -180,11 +178,10 @@ def conference_seidel(p: ConferencePair) -> list:
     return out
 
 
-def conference_frame_spec(p: ConferencePair, label: str = "") -> FrameSpec:
+def conference_frame_spec(p: ConferencePair) -> FrameSpec:
     k = p.k
     alpha = sqrt_rational(2 * k - 1)
-    return FrameSpec(k=k, n=2 * k, gamma=F(2), alpha=alpha,
-                     seidel=conference_seidel(p), label=label or f"conference:{k}")
+    return FrameSpec(k=k, n=2 * k, gamma=F(2), alpha=alpha, seidel=conference_seidel(p))
 
 
 def conference_alpha(k: int) -> int:
@@ -238,8 +235,7 @@ def conference_data(p: ConferencePair) -> ConferenceData:
     return ConferenceData(alpha, n_row, n_inv_row, det_d, det_plus, det_minus)
 
 
-def conference_frame(p: ConferencePair, variant: str,
-                     pair_index: int | None = None) -> tuple[FrameSpec, CoordinateFrame]:
+def conference_frame(p: ConferencePair, variant: str) -> tuple[FrameSpec, CoordinateFrame]:
     """Coordinate frame over one of the two natural bases of a conference frame.
 
     Variant "plus" takes columns 1..k as basis (Gram I + A/alpha, X = -N);
@@ -249,8 +245,7 @@ def conference_frame(p: ConferencePair, variant: str,
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown variant {variant!r}")
     k = p.k
-    tag = f"t{pair_index}" if pair_index is not None else "?"
-    spec = conference_frame_spec(p, label=f"conference:{k}:{tag}:{variant}")
+    spec = conference_frame_spec(p)
     data = conference_data(p)
     if data.det_d == 0:
         raise SingularDError("D is singular")
@@ -291,7 +286,7 @@ def goethals_seidel_coordinates(p: ConferencePair, a, b) -> CoordinateFrame:
         raise SingularLeadBlockError("(alpha+a)I + bN is singular") from exc
     x_row = circulant_multiply(lead_inv, rhs_row)
     x = circulant_matrix(x_row)
-    spec = conference_frame_spec(p, label=f"conference:{k}:gs")
+    spec = conference_frame_spec(p)
     return CoordinateFrame(frame=spec, basis_indices=tuple(range(1, k + 1)),
                            coords=[list(row) for row in x], beta=_beta_of(x))
 
@@ -327,8 +322,8 @@ def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> Coordin
     return CoordinateFrame(frame=spec, basis_indices=basis, coords=x, beta=_beta_of(x))
 
 
-def _explicit_frame(vectors, scale: int, k: int, alpha: int, basis: tuple,
-                    label: str) -> tuple[FrameSpec, CoordinateFrame]:
+def _explicit_frame(vectors, scale: int, k: int, alpha: int,
+                    basis: tuple) -> tuple[FrameSpec, CoordinateFrame]:
     """Build a frame from integer vector representatives with |v|² = scale."""
     n = len(vectors)
     seidel = []
@@ -340,8 +335,7 @@ def _explicit_frame(vectors, scale: int, k: int, alpha: int, basis: tuple,
             assert v.denominator == 1
             row.append(int(v))
         seidel.append(row)
-    spec = FrameSpec(k=k, n=n, gamma=F(n, k), alpha=SurdValue(F(alpha)),
-                     seidel=seidel, label=label)
+    spec = FrameSpec(k=k, n=n, gamma=F(n, k), alpha=SurdValue(F(alpha)), seidel=seidel)
     return spec, coordinatize(spec, basis)
 
 
@@ -349,7 +343,7 @@ def frame_6_16() -> tuple[FrameSpec, CoordinateFrame]:
     """The explicit (6,16) frame, built from a hard-coded sign matrix."""
     rows = [[1 if c == "+" else -1 for c in r.split()] for r in _SIGN_ROWS_6_16]
     vectors = transpose(rows)
-    return _explicit_frame(vectors, 6, 6, 3, _BASIS_6_16, "explicit-6-16")
+    return _explicit_frame(vectors, 6, 6, 3, _BASIS_6_16)
 
 
 def scaled_vectors_7_28() -> list:
@@ -365,7 +359,7 @@ def scaled_vectors_7_28() -> list:
 
 def frame_7_28() -> tuple[FrameSpec, CoordinateFrame]:
     """The (7,28) frame carried by 28 permutations of (-3,-3,1,...,1)."""
-    return _explicit_frame(scaled_vectors_7_28(), 24, 7, 3, _BASIS_7_28, "explicit-7-28")
+    return _explicit_frame(scaled_vectors_7_28(), 24, 7, 3, _BASIS_7_28)
 
 
 # --- validation ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import bareiss_determinant, clear_denominators, matrix_rank
+from .exact import bareiss_determinant, clear_denominators, matrix_rank, transpose
 from .frames import scaled_vectors_7_28
 from .lattice import LatticeModel, MinVecReport
 
@@ -99,14 +99,6 @@ _TRANSFORM_ROWS_7_28 = tuple(
 )
 
 
-def _stack_offsets(k: int) -> list[int]:
-    """Start offset of column block c when stacking lower triangles columnwise."""
-    offs = [0]
-    for c in range(k - 1):
-        offs.append(offs[-1] + (k - c))
-    return offs
-
-
 def perfection_certificate_matrix_7_28() -> list:
     """The 28 x 28 integer matrix whose columns are stacked lower triangles.
 
@@ -114,14 +106,9 @@ def perfection_certificate_matrix_7_28() -> list:
     (lexicographic pair order), take the outer square w w' of the image, and
     stack its on-or-below-diagonal entries column block by column block.
     """
-    offs = _stack_offsets(7)
-    cert = [[0] * 28 for _ in range(28)]
-    for col, f in enumerate(scaled_vectors_7_28()):
-        w = [sum(row[i] * f[i] for i in range(8)) for row in _TRANSFORM_ROWS_7_28]
-        for c in range(7):
-            for r in range(c, 7):
-                cert[offs[c] + (r - c)][col] = w[r] * w[c]
-    return cert
+    images = [[sum(row[i] * f[i] for i in range(8)) for row in _TRANSFORM_ROWS_7_28]
+              for f in scaled_vectors_7_28()]
+    return transpose([_lower_triangle(w, 7) for w in images])
 
 
 def perfection_certificate_det_7_28() -> int:

@@ -30,8 +30,9 @@ from .exact import (
     ldl_decompose,
     mat_inverse,
     sqrt_rational,
+    transpose,
 )
-from .frames import CoordinateFrame, basis_gram
+from .frames import CoordinateFrame, basis_gram, coordinate_matrix
 
 F = Fraction
 
@@ -174,20 +175,14 @@ def _canonical(v) -> tuple:
 def frame_coordinate_columns(cf: CoordinateFrame):
     """Coordinates of all n frame vectors over the basis, if integral.
 
-    Returns the canonical +-representatives (basis unit vectors plus the
-    coordinate columns), or None when some frame vector has a non-integer
+    Returns the canonical +-representatives of the columns of the coordinate
+    matrix, in frame order, or None when some frame vector has a non-integer
     coordinate and therefore is not a lattice point of the basis lattice.
     """
-    k, n = cf.frame.k, cf.frame.n
-    cols = []
-    for t in range(k):
-        cols.append(tuple(1 if i == t else 0 for i in range(k)))
-    for jj in range(n - k):
-        col = [F(cf.coords[i][jj]) for i in range(k)]
-        if any(v.denominator != 1 for v in col):
-            return None
-        cols.append(_canonical([int(v) for v in col]))
-    return cols
+    cols = transpose(coordinate_matrix(cf))
+    if any(v.denominator != 1 for col in cols for v in col):
+        return None
+    return [_canonical([int(v) for v in col]) for col in cols]
 
 
 def frame_vectors_are_minimal(model: LatticeModel, report: MinVecReport) -> bool:

@@ -57,6 +57,11 @@ def coordinatized(builder, *args):
     return model, lattice.minimal_vectors(model)
 
 
+def natural_gram(p, variant):
+    """Gram I +- A/alpha of one natural basis of a conference frame."""
+    return frames.basis_gram(frames.conference_frame(p, variant)[1])
+
+
 def test_criterion_01_alpha_gate_split():
     lattice.alpha_gate(3, 6)  # warm the code path before timing
     with budget(0.001):
@@ -111,8 +116,8 @@ def test_criterion_04_5_10():
             assert lattice.lattice_determinant(model) == SurdValue(Fraction(4, 9), 1)
             assert rep.count_with_signs == 20
             assert lattice.frame_vectors_are_minimal(model, rep)
-        gram_1 = cli._variant_gram(pairs[0], "plus")
-        gram_3 = cli._variant_gram(pairs[2], "plus")
+        gram_1 = natural_gram(pairs[0], "plus")
+        gram_3 = natural_gram(pairs[2], "plus")
         assert lattice.scalar_orthogonal_equivalence(gram_1, gram_3) is None
 
 
@@ -143,7 +148,7 @@ def test_criterion_05_13_26():
             assert abs(float(det) - 0.0458) <= 0.0001
             assert rep.count_with_signs == 52
             assert lattice.frame_vectors_are_minimal(model, rep)
-        grams = [cli._variant_gram(p, frames.preferred_variant(p)) for p in pairs]
+        grams = [natural_gram(p, frames.preferred_variant(p)) for p in pairs]
         assert lattice.equivalence_classes(grams) == \
             [[0, 1, 10, 11], [2, 3, 8, 9], [4, 5, 6, 7]]
 
@@ -230,10 +235,10 @@ def test_criterion_06_25_50_lattice_invariants(pairs25_timed):
     ordered = sorted(pairs, key=lambda p: (p.d_row[0], p.a_row, p.d_row))
     for j in range(10):
         assert ordered[j].a_row == ordered[j + 10].a_row, f"B_{j+1} vs B_{j+11}"
-    model = lattice.LatticeModel(k=25, gram=cli._variant_gram(ordered[0], "plus"))
+    model = lattice.LatticeModel(k=25, gram=natural_gram(ordered[0], "plus"))
     det = lattice.lattice_determinant(model)
     assert abs(float(det) - 0.00071052) <= 1e-8
-    classes = lattice.equivalence_classes([cli._variant_gram(p, "plus") for p in ordered[:10]])
+    classes = lattice.equivalence_classes([natural_gram(p, "plus") for p in ordered[:10]])
     assert classes == [[i] for i in range(10)]
 
 

@@ -184,23 +184,96 @@ def test_analyze_csv_flattens_surds(capsys):
     assert cols["label"] == "simplex:4"
 
 
-# SHA-256 of `--format json` stdout, recorded before the lattice layer moved
-# from a Fraction LDL to the fraction-free one; any byte of drift fails.
-PINNED_JSON_SHA256 = {
-    ("table1",): "f90e4f1ba3fcd0c3a2e2643c892bec5b3fb7994502d206d30e06004630c366fd",
-    ("analyze", "conference:25:0"): "b7efeae750436ca88162c431c08b554019372b42ee04cdbfcac0de22477984fb",
-    ("analyze", "conference:13:0"): "3d324db5ea2eb8f00ff4fdda2d03e168f57afdf200da74ab874901e624c45ab5",
-    ("analyze", "simplex:24"): "f5f826bc8ac9606da2534a7313bcce6fa4eb95d70b3527a300beab936ba8dbdb",
-    ("analyze", "explicit:6x16"): "77f21c41680ab0fe8b1eb7460821476a0cd018393d0ce52185ed9abb808d8912",
-    ("analyze", "explicit:7x28"): "152176e2e384b8ac2101402950c1ca4ae736e267a6ab96d2b0625e8790bbee97",
+# SHA-256 of stdout in each format, recorded before the commands shared one
+# report pipeline; any byte of drift fails.
+PINNED_SHA256 = {
+    ("table1",): {
+        "json": "f90e4f1ba3fcd0c3a2e2643c892bec5b3fb7994502d206d30e06004630c366fd",
+        "csv": "28ba3ef68d5385a2d1ea81930bcbfd6246690fd3211cec616f7751f6a920bcd7",
+        "text": "355bf3189bd02ca34e156287b3db842aa1e76f738ee84d75405967b72815386d",
+    },
+    ("analyze", "conference:25:0"): {
+        "json": "b7efeae750436ca88162c431c08b554019372b42ee04cdbfcac0de22477984fb",
+        "csv": "77a7735fe2ee72419e97ec6f1b5352f5ebe7d163c809b5de0be1d8b9100ddcd1",
+        "text": "520004351a5d7e84f06733069fdd57ecacc5017e7380cacd43638de85641fc1a",
+    },
+    ("analyze", "conference:13:0"): {
+        "json": "3d324db5ea2eb8f00ff4fdda2d03e168f57afdf200da74ab874901e624c45ab5",
+        "csv": "294ce6c25dea5cd147c2a05b23250de18b0615b46fa2dd09e420dc6cb0181906",
+        "text": "822e31351a0c05e6d1716cf9fdc0029c6e96da990e5a87c606187f3e36b94669",
+    },
+    ("analyze", "simplex:24"): {
+        "json": "f5f826bc8ac9606da2534a7313bcce6fa4eb95d70b3527a300beab936ba8dbdb",
+        "csv": "a98e0ae88a65c051a36b3304a6707efa2325496efd4869ffede2d7305055192c",
+        "text": "2e46190ed35f3255a804cdb0809c462738c4d19ab59e09ca50d2b2980f1b6f93",
+    },
+    ("analyze", "explicit:6x16"): {
+        "json": "77f21c41680ab0fe8b1eb7460821476a0cd018393d0ce52185ed9abb808d8912",
+        "csv": "85f8456fa923ff56a961cb7828ac381ec5091a906f766049e408bd31145edbae",
+        "text": "a9ed5c35d71d8be7c37e00753f4afd39c1ff0eab682efbfc5437473fce62e7be",
+    },
+    ("analyze", "explicit:7x28"): {
+        "json": "152176e2e384b8ac2101402950c1ca4ae736e267a6ab96d2b0625e8790bbee97",
+        "csv": "fab21aae98cc5481ced8894ec32f8cc2ce3d9f21c9e25f8e1ef48bf8e0d92ec0",
+        "text": "bfce23244104749a7c74ff7f9b161450ba45404a80878c2abaf117a4f295b6ea",
+    },
+    ("search", "5"): {
+        "json": "836acdc3c87dcd4264812a0ec94063a13bc3ba064dc1239b6d88757aa0da6550",
+        "csv": "3d993a20ec672e1b93cf5ebafee655978a6026be966079e5fd6fec22af488068",
+        "text": "0d617f705ba891ccdc7c27a0c89e59cfa3fb02ceda8688d34e702f42a65d0f0c",
+    },
+    ("search", "3", "--allow-unverified", "--no-cache"): {
+        "json": "cf87151d451981b0f60cf2924e9f8242980297b6864945241537281641ec9758",
+        "csv": "437a80979f621769f0d318e80127966575e0849dfaf738d0c67456fca157d631",
+        "text": "527ced5801585441168a83878a77738c4b262a6bb0fd5de5cc2ed6582aaec466",
+    },
+    ("verify-all",): {
+        "json": "d950f5e60779de78b970229424b6151c7c4686e1bf09a47c31b290c87419d156",
+        "csv": "d5b8bdfe8b393719a929dee0f36d3867da5ea95a14bbe995b3f9dd835891d469",
+        "text": "f2f3734de56720695f21b7cd9e40e38e691a4415402e30e0ab6c67f237c7b230",
+    },
+    ("demo-nonlattice", "7"): {
+        "json": "9d57e567e5c475fe4e8d21124c50f1150c402459a706f0dac044b66d964237ec",
+        "csv": "7e740d499cc6715a742b4860c5ac1315be714928644fe6b40e0644c6b9730782",
+        "text": "05620ee2599137364e36d699d685b807b5c31f2bf0314d18b1e1043981708910",
+    },
 }
 
 
-@pytest.mark.parametrize("argv", sorted(PINNED_JSON_SHA256), ids="-".join)
+def assert_pinned(capsys, argv, fmt):
+    if argv[0] == "search" and "--no-cache" not in argv:
+        run(capsys, *argv)  # warm the pair cache: `source` then reads "cache" in any test order
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (1 if argv[0] == "verify-all" else 0, "")  # the known 25x50 FAIL
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[argv][fmt]
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_SHA256), ids="-".join)
 def test_json_output_is_byte_identical_to_the_pin(capsys, argv):
-    code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_SHA256[argv]
+    assert_pinned(capsys, argv, "json")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("argv", sorted(PINNED_SHA256), ids="-".join)
+def test_csv_and_text_output_are_byte_identical_to_the_pin(capsys, argv, fmt):
+    assert_pinned(capsys, argv, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ("demo-nonlattice", "--skip", "x"),
+    ("demo-nonlattice", "--cache", "x"),
+    ("demo-nonlattice", "--no-cache"),
+    ("table1", "--allow-unverified"),
+    ("table1", "--skip", "x"),
+    ("search", "5", "--skip", "x"),
+    ("analyze", "simplex:3", "--skip", "x"),
+    ("verify-all", "--allow-unverified"),
+], ids="-".join)
+def test_flags_outside_their_commands_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_numpy():
@@ -230,7 +303,7 @@ def test_verify_all_skip_unlocks_a_clean_exit(capsys):
 
 
 def test_verify_report_honors_fine_grained_skips():
-    cfg = cli.RunConfig(command="verify-all", skip=(
+    cfg = cli.RunConfig(skip=(
         "simplex", "search-counts", "5x10", "13x26", "25x50",
         "6x16", "7x28", "oracle-equivalence", "properties"))
     report = cli.verify_all_report(cfg)

@@ -16,9 +16,7 @@ from framelat.exact import (
     bareiss_determinant,
     floor_sqrt,
     identity,
-    is_rational_square,
     ldl_decompose,
-    mat,
     mat_inverse,
     mat_mul,
     matrix_rank,
@@ -62,12 +60,12 @@ def test_determinant_identity():
 
 
 def test_determinant_singular():
-    m = mat([[1, 2], [2, 4]])
+    m = [[1, 2], [2, 4]]
     assert bareiss_determinant(m) == 0
 
 
 def test_determinant_row_swap_sign():
-    m = mat([[0, 1], [1, 0]])
+    m = [[0, 1], [1, 0]]
     assert bareiss_determinant(m) == -1
 
 
@@ -81,7 +79,7 @@ def test_determinant_matches_cofactor_oracle():
 
 def test_determinant_integer_inputs_stay_exact():
     # a deliberately ill-conditioned integer matrix
-    m = mat([[10 ** 9, 10 ** 9 - 1], [10 ** 9 + 1, 10 ** 9]])
+    m = [[10 ** 9, 10 ** 9 - 1], [10 ** 9 + 1, 10 ** 9]]
     assert bareiss_determinant(m) == 10 ** 18 - (10 ** 18 - 1)
 
 
@@ -146,13 +144,13 @@ def test_pivot_columns_are_leftmost_independent():
 
 
 def test_solve_identity():
-    b = mat([[1, 2], [3, 4], [5, 6]])
+    b = [[1, 2], [3, 4], [5, 6]]
     assert solve_linear(identity(3), b) == b
 
 
 def test_solve_known_2x2():
-    a = mat([[2, 1], [1, 2]])
-    b = mat([[1], [1]])
+    a = [[2, 1], [1, 2]]
+    b = [[1], [1]]
     assert solve_linear(a, b) == [[F(1, 3)], [F(1, 3)]]
 
 
@@ -171,11 +169,11 @@ def test_solve_verified_by_substitution():
 
 def test_solve_singular_raises():
     with pytest.raises(SingularMatrixError):
-        solve_linear(mat([[1, 1], [1, 1]]), mat([[1], [0]]))
+        solve_linear([[1, 1], [1, 1]], [[1], [0]])
 
 
 def test_inverse_roundtrip():
-    a = mat([[3, 1, 0], [1, 3, 1], [0, 1, 3]])
+    a = [[3, 1, 0], [1, 3, 1], [0, 1, 3]]
     assert mat_mul(a, mat_inverse(a)) == identity(3)
 
 
@@ -200,7 +198,7 @@ def test_ldl_identity():
 
 def test_ldl_semidefinite_breaks_down():
     with pytest.raises(PivotBreakdownError):
-        ldl_decompose(mat([[1, 1], [1, 1]]))
+        ldl_decompose([[1, 1], [1, 1]])
 
 
 def test_ldl_reconstruction_property():
@@ -225,10 +223,10 @@ def test_ldl_reconstruction_property():
 
 
 def test_ldl_indefinite_has_negative_diag():
-    dec = ldl_decompose(mat([[1, 2], [2, 1]]))
+    dec = ldl_decompose([[1, 2], [2, 1]])
     assert not dec.is_positive_definite()
     assert dec.minors == [1, -3]
-    assert reconstruct(dec) == mat([[1, 2], [2, 1]])
+    assert reconstruct(dec) == [[1, 2], [2, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +320,6 @@ def test_surd_multiplication_by_rationals():
     s = SurdValue(F(2, 3), 5) * F(3, 2)
     assert s == SurdValue(F(1), 5)
     assert float(s) == pytest.approx(5 ** 0.5)
-
-
-def test_is_rational_square():
-    assert not is_rational_square(F(15, 3))  # = 5
-    assert is_rational_square(F(45, 5))      # = 9
-    assert is_rational_square(F(4, 9))
-    assert not is_rational_square(F(-4, 9))
 
 
 def test_floor_sqrt_exact():

@@ -54,7 +54,6 @@ def test_simplex_small():
 def test_simplex_gamma():
     spec, _ = simplex_frame(2)
     assert spec.gamma == F(3, 2)
-    assert spec.label == "simplex:2"
 
 
 def test_simplex_alpha_and_gerzon():
@@ -81,8 +80,7 @@ def test_simplex_validates():
 
 def test_conference_plus_5_10():
     pairs = search_conference_pairs(5)
-    spec, cf = conference_frame(pairs[0], "plus", pair_index=1)
-    assert spec.label == "conference:5:t1:plus"
+    spec, cf = conference_frame(pairs[0], "plus")
     assert (spec.k, spec.n) == (5, 10)
     assert spec.alpha == SurdValue(F(3))
     q = basis_gram(cf)
@@ -96,7 +94,7 @@ def test_conference_plus_5_10():
 
 def test_conference_minus_5_10():
     pairs = search_conference_pairs(5)
-    spec, cf = conference_frame(pairs[0], "minus", pair_index=1)
+    spec, cf = conference_frame(pairs[0], "minus")
     assert cf.basis_indices == (6, 7, 8, 9, 10)
     # N is unimodular here (|det N| = |det(A-3I)| / |det D| = 48/48), so
     # X = -N^{-1} is integral as well
@@ -106,7 +104,7 @@ def test_conference_minus_5_10():
 
 def test_conference_minus_13_26():
     pairs = search_conference_pairs(13)
-    spec, cf = conference_frame(pairs[4], "minus", pair_index=5)
+    spec, cf = conference_frame(pairs[4], "minus")
     assert cf.beta == 1
     assert gram_consistency_holds(cf)
     q = basis_gram(cf)
@@ -189,7 +187,7 @@ def test_goethals_seidel_reduces_to_plus_variant():
     pairs = search_conference_pairs(5)
     for i, p in enumerate(pairs, start=1):
         cf_gs = goethals_seidel_coordinates(p, 3, 0)
-        _, cf_plus = conference_frame(p, "plus", pair_index=i)
+        _, cf_plus = conference_frame(p, "plus")
         assert cf_gs.coords == cf_plus.coords
 
 
@@ -222,8 +220,7 @@ def test_frame_6_16_tightness_breaks_under_sign_flip():
     c = [row[:] for row in spec.seidel]
     c[0][1] = -c[0][1]
     c[1][0] = -c[1][0]
-    bad = FrameSpec(k=6, n=16, gamma=spec.gamma, alpha=spec.alpha,
-                    seidel=c, label="flipped")
+    bad = FrameSpec(k=6, n=16, gamma=spec.gamma, alpha=spec.alpha, seidel=c)
     rep = validate_frame(bad)
     assert rep.seidel_ok and not rep.tightness_ok
 

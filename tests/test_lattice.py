@@ -102,7 +102,7 @@ def test_lattice_test_6_16():
 
 def test_lattice_test_matches_minus_N():
     pairs = search_conference_pairs(5)
-    spec, built = conference_frame(pairs[0], "plus", pair_index=1)
+    spec, built = conference_frame(pairs[0], "plus")
     cf = coordinatize(spec)
     assert cf.basis_indices == (1, 2, 3, 4, 5)
     assert cf.coords == built.coords  # X = -N falls out of the Gram solve
@@ -119,7 +119,7 @@ def test_lattice_test_irrational():
 
 def test_determinant_5_10():
     pairs = search_conference_pairs(5)
-    _, cf = conference_frame(pairs[0], "plus", pair_index=1)
+    _, cf = conference_frame(pairs[0], "plus")
     det = lattice_determinant(lattice_model(cf))
     assert det == F(4, 9)
 
@@ -132,7 +132,7 @@ def test_determinant_simplex_13():
 
 def test_determinant_13_26():
     pairs = search_conference_pairs(13)
-    _, cf = conference_frame(pairs[0], "plus", pair_index=1)
+    _, cf = conference_frame(pairs[0], "plus")
     det = lattice_determinant(lattice_model(cf))
     assert det == SurdValue(F(2 ** 6, 5 ** 5), 5)  # = (2^6/5^4)·sqrt(1/5)
     assert abs(float(det) - 0.0458) < 1e-4
@@ -210,7 +210,7 @@ def test_minimal_simplex_4():
 def test_minimal_5_10():
     pairs = search_conference_pairs(5)
     for i, p in enumerate(pairs, start=1):
-        _, cf = conference_frame(p, "plus", pair_index=i)
+        _, cf = conference_frame(p, "plus")
         model = lattice_model(cf)
         rep = minimal_vectors(model)
         assert rep.min_norm_sq == 1
@@ -229,8 +229,7 @@ def test_minimal_6_16():
 
 
 def test_frame_vectors_trivial_when_basis_is_whole_frame():
-    spec = FrameSpec(k=2, n=2, gamma=F(1), alpha=SurdValue(F(1)),
-                     seidel=[[0, 0], [0, 0]], label="degenerate")
+    spec = FrameSpec(k=2, n=2, gamma=F(1), alpha=SurdValue(F(1)), seidel=[[0, 0], [0, 0]])
     cf = CoordinateFrame(frame=spec, basis_indices=(1, 2), coords=[[], []], beta=1)
     model = LatticeModel(k=2, gram=[[F(1), F(0)], [F(0), F(1)]], coord_frame=cf)
     rep = minimal_vectors(model)
@@ -352,8 +351,8 @@ def test_equivalence_scaled():
 
 def test_equivalence_b1_vs_b3():
     pairs = search_conference_pairs(5)
-    _, cf1 = conference_frame(pairs[0], "plus", pair_index=1)
-    _, cf3 = conference_frame(pairs[2], "plus", pair_index=3)
+    _, cf1 = conference_frame(pairs[0], "plus")
+    _, cf3 = conference_frame(pairs[2], "plus")
     q1 = lattice_model(cf1).gram
     q3 = lattice_model(cf3).gram
     assert scalar_orthogonal_equivalence(q1, q3) is None
