@@ -6,6 +6,14 @@ here works on rows; full matrices are materialized only when a caller needs one
 of circulants (A, D) with A having a zero leading entry, looking for
 a*a + d*d = (2k-1)e0 under cyclic convolution — equivalently C^2 = (2k-1)I for
 the block matrix C = [[A, D], [D, -A]].
+
+The search never convolves rows.  It keys each candidate row a by the integer
+Σ_j (a*a)_j·B^j with B = 2^16 (Kronecker substitution).  A palindromic row has
+a(x^-1) ≡ a(x) mod x^k - 1, so with E = Σ (a_j + 1)·B^j the autocorrelation is
+E² mod (B^k - 1) minus (2·Σa + k)·J, where J = Σ B^j.  Each digit of the folded
+square is at most 4k < B (for k < 2^14), so no digit carries into the next;
+the keys of two autocorrelations (digits at most k in absolute value) are
+equal exactly when the autocorrelations are.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import json
 import os
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from .exact import Rational, SingularMatrixError, SizeMismatchError, solve_linear, transpose
@@ -86,23 +95,57 @@ def is_conference(p: ConferencePair) -> bool:
     return tuple(x + y for x, y in zip(aa, dd)) == target
 
 
-def _palindromic_row(k: int, head, signs) -> Row:
-    # signs fill positions 1..floor((k-1)/2) and their mirrors; even k has a
-    # self-mirrored middle slot that takes one extra sign.
-    row = [head] + [0] * (k - 1)
-    half = (k - 1) // 2
-    for i in range(1, half + 1):
-        row[i] = signs[i - 1]
-        row[k - i] = signs[i - 1]
+def _sign_slots(k: int) -> list[tuple]:
+    """Row positions filled by each free sign of a palindromic row after its head.
+
+    Sign i fills positions i and k - i for 1 <= i <= (k-1)/2; even k has a
+    self-mirrored middle position k/2 that takes one extra sign.
+    """
+    slots = [(i, k - i) for i in range(1, (k - 1) // 2 + 1)]
     if k % 2 == 0:
-        row[k // 2] = signs[half]
+        slots.append((k // 2,))
+    return slots
+
+
+def _palindromic_row(k: int, head, signs) -> Row:
+    row = [head] + [0] * (k - 1)
+    for sign, positions in zip(signs, _sign_slots(k)):
+        for i in positions:
+            row[i] = sign
     return tuple(row)
 
 
 def free_sign_counts(k: int) -> tuple[int, int]:
     """(number of free signs in aRow, in dRow) for the palindromic layout."""
-    tail = (k - 1) // 2 + (1 if k % 2 == 0 else 0)
+    tail = len(_sign_slots(k))
     return tail, tail + 1
+
+
+_DIGIT_BITS = 16  # B = 2^16 in the search keys
+
+
+def autocorrelation_key(k: int, e: int, total: int) -> int:
+    """Σ_j (a*a)_j·B^j, B = 2^16, for a palindromic row a of length k < 2^14
+    with entries in {-1, 0, 1}, given E = Σ (a_j + 1)·B^j and total = Σ a_j.
+
+    E² folded modulo B^k - 1 is (a+1)*(a+1) = a*a + (2·Σa + k)·J (see the
+    module docstring for why no digit carries).
+    """
+    width = _DIGIT_BITS * k
+    mask = (1 << width) - 1
+    sq = e * e
+    return (sq & mask) + (sq >> width) - (2 * total + k) * (mask // ((1 << _DIGIT_BITS) - 1))
+
+
+def _keyed_rows(k: int, slots: list[tuple]):
+    """(signs, autocorrelation_key) of every row that is 0 outside ``slots`` and
+    takes one sign on each slot's positions, in ``product`` order of the signs."""
+    zero_row = sum(1 << (_DIGIT_BITS * j) for j in range(k))
+    weights = [sum(1 << (_DIGIT_BITS * i) for i in positions) for positions in slots]
+    sizes = [len(positions) for positions in slots]
+    for signs in product((-1, 1), repeat=len(slots)):
+        e = zero_row + sum(map(mul, signs, weights))
+        yield signs, autocorrelation_key(k, e, sum(map(mul, signs, sizes)))
 
 
 def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[ConferencePair]:
@@ -112,17 +155,18 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
     (aRow signs, then dRow head and body) with -1 ordered before +1, which
     pins deterministic pair indices t1, t2, ...
 
-    The default strategy is meet-in-the-middle: bucket aRow candidates by the
-    complement vector (2k-1)e0 - a*a and join dRow candidates against their own
-    autocorrelation d*d.  ``brute_force=True`` scans all 2^k sign tuples
-    directly instead (auditing aid; identical output, order included).
+    The default strategy is meet-in-the-middle on integer keys: bucket aRow
+    candidates by 2k - 1 minus the key of a*a and join dRow candidates on the
+    key of d*d (``autocorrelation_key``); rows are built for joined pairs only.
+    ``brute_force=True`` scans all 2^k sign tuples with ``circulant_multiply``
+    instead (auditing aid; identical output, order included).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     na, nd = free_sign_counts(k)
-    target = (2 * k - 1,) + (0,) * (k - 1)
 
     if brute_force:
+        target = (2 * k - 1,) + (0,) * (k - 1)
         found = []
         for signs in product((-1, 1), repeat=na + nd):
             a = _palindromic_row(k, 0, signs[:na])
@@ -133,20 +177,16 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
                 found.append(ConferencePair(k, a, d))
         return found
 
-    buckets: dict[Row, list[tuple]] = {}
-    for asigns in product((-1, 1), repeat=na):
-        a = _palindromic_row(k, 0, asigns)
-        aa = circulant_multiply(a, a)
-        need = tuple(t - x for t, x in zip(target, aa))
-        buckets.setdefault(need, []).append((asigns, a))
-    joined = []
-    for dsigns in product((-1, 1), repeat=nd):
-        d = _palindromic_row(k, dsigns[0], dsigns[1:])
-        dd = circulant_multiply(d, d)
-        for asigns, a in buckets.get(dd, ()):
-            joined.append((asigns + dsigns, ConferencePair(k, a, d)))
-    joined.sort(key=lambda t: t[0])
-    return [p for _, p in joined]
+    slots = _sign_slots(k)
+    buckets: dict[int, list[tuple]] = {}
+    for asigns, key in _keyed_rows(k, slots):
+        buckets.setdefault(2 * k - 1 - key, []).append(asigns)
+    joined = sorted(asigns + dsigns
+                    for dsigns, key in _keyed_rows(k, [(0,)] + slots)
+                    for asigns in buckets.get(key, ()))
+    return [ConferencePair(k, _palindromic_row(k, 0, signs[:na]),
+                           _palindromic_row(k, signs[na], signs[na + 1:]))
+            for signs in joined]
 
 
 def circulant_inverse(row: Row) -> Row:

@@ -688,9 +688,17 @@ def verification_checks(cfg: RunConfig) -> list:
 
 
 def verify_all_report(cfg: RunConfig) -> dict:
+    """Run every check whose label, or the part of it before the first "-",
+    is not in cfg.skip; a skip label that names no check is a usage error."""
+    suite = verification_checks(cfg)
+    names = {name for label, _ in suite for name in (label, label.split("-")[0])}
+    unknown = [s for s in cfg.skip if s not in names]
+    if unknown:
+        raise UsageError(f"--skip {', '.join(unknown)} matches no check "
+                         f"(checks: {', '.join(label for label, _ in suite)})")
     checks = []
     skipped = []
-    for label, fn in verification_checks(cfg):
+    for label, fn in suite:
         if label in cfg.skip or label.split("-")[0] in cfg.skip:
             skipped.append(label)
             continue

@@ -89,19 +89,25 @@ def rational_alpha(spec: FrameSpec) -> Fraction:
     return spec.alpha.coeff
 
 
+def _gram(spec: FrameSpec, idx) -> Mat:
+    """I + (1/alpha)·C on the rows and columns idx (0-based); rational alpha only.
+
+    A Seidel matrix has few distinct entries (0 and +-1), so each scaled entry
+    is computed once per Gram.
+    """
+    alpha = rational_alpha(spec)
+    c = spec.seidel
+    scaled = {v: F(v, 1) / alpha for v in {c[i][j] for i in idx for j in idx}}
+    return [[1 + scaled[c[i][j]] if i == j else scaled[c[i][j]] for j in idx] for i in idx]
+
+
 def full_gram(spec: FrameSpec) -> Mat:
     """n x n Gram matrix I + (1/alpha)·C; rational alpha only."""
-    alpha = rational_alpha(spec)
-    n = spec.n
-    return [[(1 if i == j else 0) + F(spec.seidel[i][j], 1) / alpha for j in range(n)]
-            for i in range(n)]
+    return _gram(spec, range(spec.n))
 
 
 def basis_gram(cf: CoordinateFrame) -> Mat:
-    alpha = rational_alpha(cf.frame)
-    idx = [b - 1 for b in cf.basis_indices]
-    c = cf.frame.seidel
-    return [[(1 if bi == bj else 0) + F(c[bi][bj], 1) / alpha for bj in idx] for bi in idx]
+    return _gram(cf.frame, [b - 1 for b in cf.basis_indices])
 
 
 def coordinate_matrix(cf: CoordinateFrame) -> Mat:
@@ -216,19 +222,23 @@ def conference_data(p: ConferencePair) -> ConferenceData:
     The conference condition A² + D² = alpha²·I between commuting circulants
     gives D² = (alpha·I - A)(alpha·I + A), so an invertible D makes both
     alpha·I ± A invertible, and one inverse of D yields both rows:
-    N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  A singular D
-    leaves N to compute_N's fallback, which is then singular itself.
+    N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  The same
+    identity gives det(alpha·I - A) = det(D)²/det(alpha·I + A) exactly.  A
+    singular D leaves N to compute_N's fallback, which is then singular
+    itself, and det(alpha·I - A) to its own elimination.
     """
     alpha = conference_alpha(p.k)
     if not is_conference(p):
         raise ValueError("not a conference pair: a*a + d*d != (2k-1)e0")
     plus_row = add_scalar(p.a_row, alpha)
     minus_row = add_scalar(_neg(p.a_row), alpha)
-    det_d, det_plus, det_minus = (int(bareiss_determinant(circulant_matrix(row)))
-                                  for row in (p.d_row, plus_row, minus_row))
+    det_d, det_plus = (int(bareiss_determinant(circulant_matrix(row)))
+                       for row in (p.d_row, plus_row))
     if det_d == 0:
+        det_minus = int(bareiss_determinant(circulant_matrix(minus_row)))
         n_row, n_inv_row = compute_N(p, alpha, 0, alpha), None
     else:
+        det_minus = det_d ** 2 // det_plus
         d_inv = circulant_inverse(p.d_row)
         n_row = circulant_multiply(d_inv, _neg(minus_row))
         n_inv_row = circulant_multiply(d_inv, _neg(plus_row))
@@ -392,9 +402,7 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
     tight = False
     if seidel_ok:
         if spec.alpha.radicand == 1:
-            alpha = spec.alpha.coeff
-            m = [[(1 if i == j else 0) + F(c[i][j]) / alpha for j in range(n)]
-                 for i in range(n)]
+            m = full_gram(spec)
             mm = mat_mul(m, m)
             tight = mm == [[spec.gamma * v for v in row] for row in m]
         else:

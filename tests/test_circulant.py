@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from framelat.circulant import (
     BothSingularError,
@@ -12,6 +14,7 @@ from framelat.circulant import (
     ConferencePair,
     MalformedPatternError,
     SingularCirculantError,
+    autocorrelation_key,
     circulant_inverse,
     circulant_matrix,
     circulant_multiply,
@@ -141,8 +144,27 @@ def test_search_counts():
 
 
 def test_search_mitm_matches_brute_force():
-    for k in (5, 13):
+    for k in range(2, 14):
         assert search_conference_pairs(k) == search_conference_pairs(k, brute_force=True)
+
+
+def packed(row):
+    """Σ row_j·2^(16j), the documented encoding of the search keys."""
+    return sum(v << (16 * j) for j, v in enumerate(row))
+
+
+@st.composite
+def palindromic_rows(draw):
+    k = draw(st.integers(2, 61))
+    head = draw(st.sampled_from((-1, 0, 1)))
+    half = [draw(st.sampled_from((-1, 1))) for _ in range(k // 2)]
+    return (head,) + tuple(half[min(i, k - i) - 1] for i in range(1, k))
+
+
+@given(palindromic_rows())
+def test_autocorrelation_key_matches_circulant_multiply(a):
+    key = autocorrelation_key(len(a), packed(v + 1 for v in a), sum(a))
+    assert key == packed(circulant_multiply(a, a))
 
 
 def test_search_k13_contains_known_rows():

@@ -302,6 +302,13 @@ def test_verify_all_skip_unlocks_a_clean_exit(capsys):
     assert doc["skipped"] == ["25x50-det-factorization", "25x50-lattice"]
 
 
+@pytest.mark.parametrize("label", ["7x82", "bogus", "25x5", "det"])
+def test_verify_all_unknown_skip_label_is_a_usage_error(capsys, label):
+    code, out, err = run(capsys, "verify-all", "--skip", "25x50", "--skip", label)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and label in err
+
+
 def test_verify_report_honors_fine_grained_skips():
     cfg = cli.RunConfig(skip=(
         "simplex", "search-counts", "5x10", "13x26", "25x50",
