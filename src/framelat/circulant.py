@@ -209,15 +209,15 @@ def add_scalar(row: Row, c) -> Row:
     return (row[0] + c,) + tuple(row[1:])
 
 
-def compute_N(p: ConferencePair, a: Rational, b: Rational, alpha: int) -> Row:
+def compute_N(p: ConferencePair, a: Rational, b: Rational) -> Row:
     """First row of N = (D + bI)^{-1}(A − aI), falling back to (A + aI)^{-1}(bI − D).
 
-    The D-pivot form is preferred whenever D + bI is invertible; with b = 0
-    it specializes to N = D^{-1}(A − αI).
+    The D-pivot form is preferred whenever D + bI is invertible; with
+    (a, b) = (α, 0), α = sqrt(2k − 1), it specializes to N = D^{-1}(A − αI).
     """
     k = p.k
-    if Fraction(a) ** 2 + Fraction(b) ** 2 != alpha * alpha or alpha * alpha != 2 * k - 1:
-        raise ValueError("need a^2 + b^2 = alpha^2 = 2k - 1")
+    if Fraction(a) ** 2 + Fraction(b) ** 2 != 2 * k - 1:
+        raise ValueError("need a^2 + b^2 = 2k - 1")
     try:
         inv = circulant_inverse(add_scalar(p.d_row, b))
     except SingularCirculantError:

@@ -310,7 +310,7 @@ def search_report(k: int, cfg: RunConfig) -> dict:
         raise UsageError("search needs an odd k >= 3")
     pairs, source = load_or_search(k, cfg)
     entries = []
-    rational_alpha = sqrt_rational(2 * k - 1).radicand == 1
+    rational_alpha = lattice.alpha_gate(k, 2 * k).is_lattice
     for i, p in enumerate(pairs):
         entry = {"index": i, "aRow": list(p.a_row), "dRow": list(p.d_row)}
         if rational_alpha:

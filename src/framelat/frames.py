@@ -1,11 +1,13 @@
 """Equiangular tight frames in exact Gram-first form.
 
-A frame is carried by its Seidel sign matrix together with the equiangularity
-constant alpha, never by Cartesian coordinates: every quantity used downstream
-(basis Grams, determinants, minimal vectors) is a function of inner products,
-and keeping those rational sidesteps square roots entirely.  A frame with a
-distinguished basis additionally carries the rational coordinate matrix X that
-expresses the remaining columns over the basis.
+A frame stores only what it cannot derive: k, n and its Seidel sign matrix C.
+The equiangularity constant alpha (``frame_alpha``) and the frame bound
+gamma = n/k are derived from (k, n), and no Cartesian coordinates are kept:
+every quantity used downstream (basis Grams, determinants, minimal vectors) is
+a function of inner products, and keeping those rational sidesteps square
+roots entirely.  A frame with a distinguished basis also stores the rational
+coordinate matrix X of the remaining columns over the basis; beta, the lcm of
+X's denominators, is derived from X.
 """
 
 from __future__ import annotations
@@ -46,21 +48,34 @@ class IrrationalAlphaError(ValueError):
     """alpha is a proper surd, so no rational coordinate frame exists."""
 
 
-class SingularDError(ZeroDivisionError):
-    pass
+def frame_alpha(k: int, n: int) -> SurdValue:
+    """alpha = sqrt(k(n-1)/(n-k)), the reciprocal |cosine| of a unit (k, n) frame."""
+    if not 2 <= k < n:
+        raise ValueError("need 2 <= k < n")
+    return sqrt_rational(F(k * (n - 1), n - k))
 
 
-class SingularLeadBlockError(ZeroDivisionError):
-    pass
+def rational_alpha(k: int, n: int) -> Fraction:
+    """frame_alpha(k, n) as a rational; IrrationalAlphaError for a proper surd."""
+    alpha = frame_alpha(k, n)
+    if alpha.radicand != 1:
+        raise IrrationalAlphaError(f"alpha = {alpha} is irrational")
+    return alpha.coeff
 
 
 @dataclass(frozen=True)
 class FrameSpec:
     k: int
     n: int
-    gamma: Fraction
-    alpha: SurdValue
     seidel: list  # n x n integer sign matrix, zero diagonal
+
+    @functools.cached_property
+    def alpha(self) -> SurdValue:
+        return frame_alpha(self.k, self.n)
+
+    @property
+    def gamma(self) -> Fraction:
+        return F(self.n, self.k)
 
 
 @dataclass(frozen=True)
@@ -68,25 +83,22 @@ class CoordinateFrame:
     frame: FrameSpec
     basis_indices: tuple  # k column positions, 1-based
     coords: list  # k x (n-k) rational matrix X over the basis
-    beta: int  # lcm of coordinate denominators
+
+    @functools.cached_property
+    def beta(self) -> int:
+        """lcm of the coordinate denominators."""
+        return math.lcm(*(F(v).denominator for row in self.coords for v in row))
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     seidel_ok: bool
-    alpha_ok: bool
     tightness_ok: bool
     gerzon_ok: bool
 
     @property
     def all_ok(self) -> bool:
-        return self.seidel_ok and self.alpha_ok and self.tightness_ok and self.gerzon_ok
-
-
-def rational_alpha(spec: FrameSpec) -> Fraction:
-    if spec.alpha.radicand != 1:
-        raise IrrationalAlphaError(f"alpha = {spec.alpha} is irrational")
-    return spec.alpha.coeff
+        return self.seidel_ok and self.tightness_ok and self.gerzon_ok
 
 
 def _gram(spec: FrameSpec, idx) -> Mat:
@@ -95,7 +107,7 @@ def _gram(spec: FrameSpec, idx) -> Mat:
     A Seidel matrix has few distinct entries (0 and +-1), so each scaled entry
     is computed once per Gram.
     """
-    alpha = rational_alpha(spec)
+    alpha = rational_alpha(spec.k, spec.n)
     c = spec.seidel
     scaled = {v: F(v, 1) / alpha for v in {c[i][j] for i in idx for j in idx}}
     return [[1 + scaled[c[i][j]] if i == j else scaled[c[i][j]] for j in idx] for i in idx]
@@ -114,14 +126,13 @@ def coordinate_matrix(cf: CoordinateFrame) -> Mat:
     """k x n matrix whose columns are the basis coordinates of every frame vector."""
     k, n = cf.frame.k, cf.frame.n
     basis = {b - 1: t for t, b in enumerate(cf.basis_indices)}
-    others = [j for j in range(n) if j not in basis]
+    others = iter(transpose(cf.coords))  # columns of X, in frame order
     cols = []
     for j in range(n):
         if j in basis:
             cols.append([F(1) if i == basis[j] else F(0) for i in range(k)])
         else:
-            jj = others.index(j)
-            cols.append([F(cf.coords[i][jj]) for i in range(k)])
+            cols.append([F(v) for v in next(others)])
     return transpose(cols)
 
 
@@ -130,11 +141,6 @@ def gram_consistency_holds(cf: CoordinateFrame) -> bool:
     p = coordinate_matrix(cf)
     q = basis_gram(cf)
     return mat_mul(transpose(p), mat_mul(q, p)) == full_gram(cf.frame)
-
-
-def _beta_of(coords) -> int:
-    dens = [F(v).denominator for row in coords for v in row]
-    return math.lcm(*dens) if dens else 1
 
 
 def select_basis_greedy(gram: Mat, k: int) -> tuple:
@@ -162,40 +168,21 @@ def simplex_frame(k: int) -> tuple[FrameSpec, CoordinateFrame]:
         raise ValueError("k must be at least 2")
     n = k + 1
     seidel = [[0 if i == j else -1 for j in range(n)] for i in range(n)]
-    spec = FrameSpec(k=k, n=n, gamma=F(n, k), alpha=SurdValue(F(k)), seidel=seidel)
+    spec = FrameSpec(k=k, n=n, seidel=seidel)
     coords = [[F(-1)] for _ in range(k)]
-    cf = CoordinateFrame(frame=spec, basis_indices=tuple(range(1, k + 1)),
-                         coords=coords, beta=1)
-    return spec, cf
+    return spec, CoordinateFrame(frame=spec, basis_indices=tuple(range(1, k + 1)), coords=coords)
 
 
 def conference_seidel(p: ConferencePair) -> list:
     """2k x 2k block Seidel matrix [[A, D], [D, -A]]."""
-    k = p.k
     a = circulant_matrix(p.a_row)
     d = circulant_matrix(p.d_row)
-    out = [[0] * (2 * k) for _ in range(2 * k)]
-    for i in range(k):
-        for j in range(k):
-            out[i][j] = a[i][j]
-            out[i][k + j] = d[i][j]
-            out[k + i][j] = d[i][j]
-            out[k + i][k + j] = -a[i][j]
-    return out
+    return ([ra + rd for ra, rd in zip(a, d)]
+            + [rd + [-v for v in ra] for ra, rd in zip(a, d)])
 
 
 def conference_frame_spec(p: ConferencePair) -> FrameSpec:
-    k = p.k
-    alpha = sqrt_rational(2 * k - 1)
-    return FrameSpec(k=k, n=2 * k, gamma=F(2), alpha=alpha, seidel=conference_seidel(p))
-
-
-def conference_alpha(k: int) -> int:
-    """The integer alpha = sqrt(2k - 1) of a (k, 2k) conference frame."""
-    alpha = sqrt_rational(2 * k - 1)
-    if alpha.radicand != 1:
-        raise IrrationalAlphaError(f"2k-1 = {2 * k - 1} is not a perfect square")
-    return int(alpha.coeff)
+    return FrameSpec(k=p.k, n=2 * p.k, seidel=conference_seidel(p))
 
 
 def is_integral(row) -> bool:
@@ -211,37 +198,34 @@ class ConferenceData(NamedTuple):
     det_minus: int  # det(alpha·I - A)
 
 
-def _neg(row: Row) -> Row:
-    return tuple(-v for v in row)
-
-
 @functools.cache
 def conference_data(p: ConferencePair) -> ConferenceData:
     """Alpha, N, N^{-1} and the three determinants of one conference pair.
 
     The conference condition A² + D² = alpha²·I between commuting circulants
     gives D² = (alpha·I - A)(alpha·I + A), so an invertible D makes both
-    alpha·I ± A invertible, and one inverse of D yields both rows:
-    N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  The same
-    identity gives det(alpha·I - A) = det(D)²/det(alpha·I + A) exactly.  A
-    singular D leaves N to compute_N's fallback, which is then singular
-    itself, and det(alpha·I - A) to its own elimination.
+    alpha·I ± A invertible, and one solve against D yields both rows:
+    N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  D is
+    symmetric and commutes with circ(r), so the first row of D^{-1}·circ(r)
+    is the solution y of D·y = r.  The same identity gives
+    det(alpha·I - A) = det(D)²/det(alpha·I + A) exactly.  A singular D leaves
+    N to compute_N's fallback, which is then singular itself, and
+    det(alpha·I - A) to its own elimination.
     """
-    alpha = conference_alpha(p.k)
+    alpha = int(rational_alpha(p.k, 2 * p.k))
     if not is_conference(p):
         raise ValueError("not a conference pair: a*a + d*d != (2k-1)e0")
+    a_minus = add_scalar(p.a_row, -alpha)
     plus_row = add_scalar(p.a_row, alpha)
-    minus_row = add_scalar(_neg(p.a_row), alpha)
-    det_d, det_plus = (int(bareiss_determinant(circulant_matrix(row)))
-                       for row in (p.d_row, plus_row))
+    d = circulant_matrix(p.d_row)
+    det_d, det_plus = (int(bareiss_determinant(m)) for m in (d, circulant_matrix(plus_row)))
     if det_d == 0:
-        det_minus = int(bareiss_determinant(circulant_matrix(minus_row)))
-        n_row, n_inv_row = compute_N(p, alpha, 0, alpha), None
+        det_minus = int(bareiss_determinant(circulant_matrix([-v for v in a_minus])))
+        n_row, n_inv_row = compute_N(p, alpha, 0), None
     else:
         det_minus = det_d ** 2 // det_plus
-        d_inv = circulant_inverse(p.d_row)
-        n_row = circulant_multiply(d_inv, _neg(minus_row))
-        n_inv_row = circulant_multiply(d_inv, _neg(plus_row))
+        rhs = transpose([a_minus, [-v for v in plus_row]])
+        n_row, n_inv_row = map(tuple, transpose(solve_linear(d, rhs)))
     return ConferenceData(alpha, n_row, n_inv_row, det_d, det_plus, det_minus)
 
 
@@ -258,14 +242,13 @@ def conference_frame(p: ConferencePair, variant: str) -> tuple[FrameSpec, Coordi
     spec = conference_frame_spec(p)
     data = conference_data(p)
     if data.det_d == 0:
-        raise SingularDError("D is singular")
+        raise SingularCirculantError("D is singular")
     if variant == "plus":
         row, basis = data.n_row, tuple(range(1, k + 1))
     else:
         row, basis = data.n_inv_row, tuple(range(k + 1, 2 * k + 1))
     x = [[-v for v in r] for r in circulant_matrix(row)]
-    cf = CoordinateFrame(frame=spec, basis_indices=basis, coords=x, beta=_beta_of(x))
-    return spec, cf
+    return spec, CoordinateFrame(frame=spec, basis_indices=basis, coords=x)
 
 
 def preferred_variant(p: ConferencePair) -> str:
@@ -283,22 +266,16 @@ def goethals_seidel_coordinates(p: ConferencePair, a, b) -> CoordinateFrame:
     For any rational a, b with a² + b² = 2k - 1 the remaining columns are
     X = ((alpha+a)I + bN)^{-1} (bI - (alpha+a)N) with N sharing the same
     (a, b); everything stays a circulant, so the work happens on first rows.
+    A singular (alpha+a)I + bN raises SingularCirculantError.
     """
     k = p.k
-    alpha = conference_alpha(k)
-    n_row = compute_N(p, a, b, alpha)
-    s = F(alpha) + F(a)
+    n_row = compute_N(p, a, b)
+    s = rational_alpha(k, 2 * k) + F(a)
     lead_row = tuple((s if i == 0 else 0) + F(b) * v for i, v in enumerate(n_row))
     rhs_row = tuple((F(b) if i == 0 else 0) - s * v for i, v in enumerate(n_row))
-    try:
-        lead_inv = circulant_inverse(lead_row)
-    except SingularCirculantError as exc:
-        raise SingularLeadBlockError("(alpha+a)I + bN is singular") from exc
-    x_row = circulant_multiply(lead_inv, rhs_row)
-    x = circulant_matrix(x_row)
-    spec = conference_frame_spec(p)
-    return CoordinateFrame(frame=spec, basis_indices=tuple(range(1, k + 1)),
-                           coords=[list(row) for row in x], beta=_beta_of(x))
+    x_row = circulant_multiply(circulant_inverse(lead_row), rhs_row)
+    return CoordinateFrame(frame=conference_frame_spec(p), basis_indices=tuple(range(1, k + 1)),
+                           coords=circulant_matrix(x_row))
 
 
 # Sign rows whose 16 columns, scaled by 1/sqrt(6), are unit vectors with
@@ -328,24 +305,22 @@ def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> Coordin
     others = [j for j in range(spec.n) if j not in idx]
     q = [[gram[i][j] for j in idx] for i in idx]
     rhs = [[gram[i][j] for j in others] for i in idx]
-    x = solve_linear(q, rhs)
-    return CoordinateFrame(frame=spec, basis_indices=basis, coords=x, beta=_beta_of(x))
+    return CoordinateFrame(frame=spec, basis_indices=basis, coords=solve_linear(q, rhs))
 
 
-def _explicit_frame(vectors, scale: int, k: int, alpha: int,
-                    basis: tuple) -> tuple[FrameSpec, CoordinateFrame]:
-    """Build a frame from integer vector representatives with |v|² = scale."""
-    n = len(vectors)
+def _explicit_frame(vectors, k: int, basis: tuple) -> tuple[FrameSpec, CoordinateFrame]:
+    """Build a frame from integer vector representatives of one common length |v|²."""
+    alpha = rational_alpha(k, len(vectors))
+    scale = sum(x * x for x in vectors[0])
     seidel = []
-    for i in range(n):
+    for i, u in enumerate(vectors):
         row = []
-        for j in range(n):
-            dot = sum(x * y for x, y in zip(vectors[i], vectors[j]))
-            v = F(alpha * dot, scale) - (alpha if i == j else 0)
+        for j, w in enumerate(vectors):
+            v = alpha * F(sum(x * y for x, y in zip(u, w)), scale) - (alpha if i == j else 0)
             assert v.denominator == 1
             row.append(int(v))
         seidel.append(row)
-    spec = FrameSpec(k=k, n=n, gamma=F(n, k), alpha=SurdValue(F(alpha)), seidel=seidel)
+    spec = FrameSpec(k=k, n=len(vectors), seidel=seidel)
     return spec, coordinatize(spec, basis)
 
 
@@ -353,7 +328,7 @@ def frame_6_16() -> tuple[FrameSpec, CoordinateFrame]:
     """The explicit (6,16) frame, built from a hard-coded sign matrix."""
     rows = [[1 if c == "+" else -1 for c in r.split()] for r in _SIGN_ROWS_6_16]
     vectors = transpose(rows)
-    return _explicit_frame(vectors, 6, 6, 3, _BASIS_6_16)
+    return _explicit_frame(vectors, 6, _BASIS_6_16)
 
 
 def scaled_vectors_7_28() -> list:
@@ -369,7 +344,7 @@ def scaled_vectors_7_28() -> list:
 
 def frame_7_28() -> tuple[FrameSpec, CoordinateFrame]:
     """The (7,28) frame carried by 28 permutations of (-3,-3,1,...,1)."""
-    return _explicit_frame(scaled_vectors_7_28(), 24, 7, 3, _BASIS_7_28)
+    return _explicit_frame(scaled_vectors_7_28(), 7, _BASIS_7_28)
 
 
 # --- validation ---------------------------------------------------------------
@@ -387,32 +362,24 @@ def _seidel_ok(c, n) -> bool:
 
 
 def validate_frame(spec: FrameSpec) -> ValidationReport:
-    """Check Seidel shape, the alpha identity, tightness, and the Gerzon bound.
+    """Check Seidel shape, tightness, and the Gerzon bound.
 
-    Tightness means M² = gamma·M for M = I + (1/alpha)C.  For rational alpha
-    this is a direct rational computation.  For alpha = q·sqrt(m) the identity
-    is split into its rational and surd parts, which must hold separately:
-    C² = (gamma-1)·alpha²·I and (gamma - 2)·C = 0.
+    Tightness means M² = gamma·M for M = I + (1/alpha)C, which is the identity
+    C² = (gamma-1)·alpha²·I + (gamma-2)·alpha·C on the integer matrix C.  For
+    alpha = q·sqrt(m) with m > 1 the last term is irrational while the others
+    are rational, so it must vanish on its own: (gamma-2)·C = 0.
     """
     k, n, c = spec.k, spec.n, spec.seidel
     seidel_ok = _seidel_ok(c, n)
-    alpha_ok = spec.alpha.squared() == F(k * (n - 1), n - k)
     gerzon_ok = n <= k * (k + 1) // 2
 
     tight = False
     if seidel_ok:
-        if spec.alpha.radicand == 1:
-            m = full_gram(spec)
-            mm = mat_mul(m, m)
-            tight = mm == [[spec.gamma * v for v in row] for row in m]
-        else:
-            aa = spec.alpha.squared()
-            cc = mat_mul([[F(v) for v in row] for row in c],
-                         [[F(v) for v in row] for row in c])
-            want = (spec.gamma - 1) * aa
-            rational_part = cc == [[want if i == j else F(0) for j in range(n)]
-                                   for i in range(n)]
-            surd_part = spec.gamma == 2 or all(v == 0 for row in c for v in row)
-            tight = rational_part and surd_part
-    return ValidationReport(seidel_ok=seidel_ok, alpha_ok=alpha_ok,
-                            tightness_ok=tight, gerzon_ok=gerzon_ok)
+        alpha, gamma = spec.alpha, spec.gamma
+        diag = (gamma - 1) * alpha.squared()
+        lin = (gamma - 2) * alpha.coeff if alpha.radicand == 1 else 0
+        surd_ok = alpha.radicand == 1 or all((gamma - 2) * v == 0 for row in c for v in row)
+        cc = mat_mul(c, c)
+        tight = surd_ok and all(cc[i][j] == (diag if i == j else 0) + lin * c[i][j]
+                                for i in range(n) for j in range(n))
+    return ValidationReport(seidel_ok=seidel_ok, tightness_ok=tight, gerzon_ok=gerzon_ok)

@@ -28,7 +28,6 @@ from .lattice import LatticeModel, MinVecReport
 class EutaxyReport:
     is_strongly_eutactic: bool
     parseval_constant: Optional[Fraction]  # the c with sum(x x') = c * Q^{-1}
-    sum_is_zero: bool
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,9 @@ def strong_eutaxy_check(model: LatticeModel, report: MinVecReport) -> EutaxyRepo
     )
     # Each stored representative stands for the pair {x, -x}, so the signed
     # sum telescopes to the zero vector with no computation needed.
-    sum_is_zero = True
     return EutaxyReport(
-        is_strongly_eutactic=is_parseval and sum_is_zero,
+        is_strongly_eutactic=is_parseval,
         parseval_constant=Fraction(c, scale) if is_parseval else None,
-        sum_is_zero=sum_is_zero,
     )
 
 

@@ -32,7 +32,7 @@ from .exact import (
     sqrt_rational,
     transpose,
 )
-from .frames import CoordinateFrame, basis_gram, coordinate_matrix
+from .frames import CoordinateFrame, basis_gram, coordinate_matrix, frame_alpha
 
 F = Fraction
 
@@ -74,15 +74,14 @@ class LatticeVerdict:
 def alpha_gate(k: int, n: int) -> LatticeVerdict:
     """Decide lattice-ness of the (k,n) frame family from alpha alone.
 
-    alpha = sqrt(k(n-1)/(n-k)).  Irrational alpha rules a lattice out; rational
-    alpha makes the whole Gram rational, hence every frame coordinate rational,
-    which certifies a full-rank lattice (the converse direction is re-verified
-    constructively by coordinatize, which finds rational coordinates over a
-    basis for each concrete frame).
+    alpha is ``frames.frame_alpha(k, n)`` (ValueError unless 2 <= k < n).
+    Irrational alpha rules a lattice out; rational alpha makes the whole Gram
+    rational, hence every frame coordinate rational, which certifies a
+    full-rank lattice (the converse direction is re-verified constructively by
+    coordinatize, which finds rational coordinates over a basis for each
+    concrete frame).
     """
-    if not 2 <= k < n:
-        raise ValueError("need 2 <= k < n")
-    alpha = sqrt_rational(F(k * (n - 1), n - k))
+    alpha = frame_alpha(k, n)
     rational = alpha.radicand == 1
     return LatticeVerdict(is_lattice=rational,
                           reason="RationalAlpha" if rational else "IrrationalAlpha",

@@ -215,13 +215,13 @@ def test_inverse_of_non_numeric_row_is_not_reported_singular():
 
 def test_compute_N_t1():
     pair = ConferencePair(5, *T5[0])
-    n_row = compute_N(pair, 3, 0, 3)
+    n_row = compute_N(pair, 3, 0)
     assert n_row == (1, 0, -1, -1, 0)
 
 
 def test_compute_N_t4():
     pair = ConferencePair(5, *T5[3])
-    assert compute_N(pair, 3, 0, 3) == (-1, 1, 0, 0, 1)
+    assert compute_N(pair, 3, 0) == (-1, 1, 0, 0, 1)
 
 
 def test_compute_N_defining_identity():
@@ -232,7 +232,7 @@ def test_compute_N_defining_identity():
         for a, b in ((3, 0), (0, 3), (F(9, 5), F(12, 5))):
             if (a, b) == (0, 3) and d_row[0] == 1:
                 continue  # D + 3I singular there, A singular too
-            n_row = compute_N(pair, a, b, 3)
+            n_row = compute_N(pair, a, b)
             lhs_d = circulant_multiply((d_row[0] + b,) + d_row[1:], n_row)
             assert lhs_d == (a_row[0] - a,) + a_row[1:]
             lhs_a = circulant_multiply((a_row[0] + a,) + a_row[1:], n_row)
@@ -244,13 +244,13 @@ def test_compute_N_both_pivots_singular():
     # D's row sums to 3, so b = -3 kills the all-ones eigenvalue of D + bI;
     # A itself is singular, so a = 0 leaves no usable pivot on either side.
     with pytest.raises(BothSingularError):
-        compute_N(pair, 0, -3, 3)
+        compute_N(pair, 0, -3)
 
 
 def test_compute_N_rejects_bad_parameters():
     pair = ConferencePair(5, *T5[0])
     with pytest.raises(ValueError):
-        compute_N(pair, 1, 1, 3)
+        compute_N(pair, 1, 1)
 
 
 def test_cache_roundtrip(tmp_path):

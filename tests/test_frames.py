@@ -7,6 +7,7 @@ import pytest
 
 from framelat.circulant import (
     ConferencePair,
+    SingularCirculantError,
     circulant_inverse,
     circulant_matrix,
     circulant_multiply,
@@ -14,7 +15,7 @@ from framelat.circulant import (
     load_pairs,
     search_conference_pairs,
 )
-from framelat.exact import SurdValue, bareiss_determinant
+from framelat.exact import SurdValue, bareiss_determinant, clear_denominators, mat_mul
 from framelat.frames import (
     CoordinateFrame,
     FrameSpec,
@@ -140,16 +141,20 @@ def test_conference_rejects_unknown_variant():
 CACHE_25 = Path(__file__).resolve().parent.parent / "cache" / "conference-25.json"
 
 
+def conference_pairs(k):
+    return load_pairs(str(CACHE_25)) if k == 25 else search_conference_pairs(k)
+
+
 @pytest.mark.parametrize("k", [5, 13, 25])
 def test_conference_data_matches_the_dense_reference(k):
-    pairs = load_pairs(str(CACHE_25)) if k == 25 else search_conference_pairs(k)
+    pairs = conference_pairs(k)
     assert len(pairs) == {5: 4, 13: 12, 25: 20}[k]
     alpha = {5: 3, 13: 5, 25: 7}[k]
     e0 = (1,) + (0,) * (k - 1)
     for p in pairs:
         data = conference_data(p)
         assert data.alpha == alpha
-        assert data.n_row == compute_N(p, alpha, 0, alpha)
+        assert data.n_row == compute_N(p, alpha, 0)
         assert data.n_inv_row == circulant_inverse(data.n_row)
         assert circulant_multiply(data.n_row, data.n_inv_row) == e0
         a = circulant_matrix(p.a_row)
@@ -191,6 +196,13 @@ def test_goethals_seidel_reduces_to_plus_variant():
         assert cf_gs.coords == cf_plus.coords
 
 
+def test_goethals_seidel_singular_lead_block():
+    # a = -alpha leaves the lead block (alpha + a)I + bN = 0
+    p = search_conference_pairs(5)[0]
+    with pytest.raises(SingularCirculantError):
+        goethals_seidel_coordinates(p, -3, 0)
+
+
 def test_goethals_seidel_rational_nonint_parameters():
     pairs = search_conference_pairs(5)
     cf = goethals_seidel_coordinates(pairs[0], F(9, 5), F(12, 5))
@@ -220,7 +232,7 @@ def test_frame_6_16_tightness_breaks_under_sign_flip():
     c = [row[:] for row in spec.seidel]
     c[0][1] = -c[0][1]
     c[1][0] = -c[1][0]
-    bad = FrameSpec(k=6, n=16, gamma=spec.gamma, alpha=spec.alpha, seidel=c)
+    bad = FrameSpec(k=6, n=16, seidel=c)
     rep = validate_frame(bad)
     assert rep.seidel_ok and not rep.tightness_ok
 
@@ -251,3 +263,86 @@ def test_greedy_basis_skips_repeated_vectors():
     assert select_basis_greedy(repeated, 3) == (1, 3, 5)
     with pytest.raises(ValueError):
         select_basis_greedy(repeated, 4)
+
+
+# --- derived fields and the tightness identity ---------------------------------
+
+# beta of each pair's plus and minus frame, pair by pair, as stored by the
+# constructors before beta was derived from the coordinates
+STORED_BETAS = {
+    5: ("1111", "1111"),
+    13: ("111133113333", "333311331111"),
+    25: ("1" * 20, "1" * 20),
+}
+
+
+def test_derived_fields_equal_the_formerly_stored_values():
+    for k in range(2, 13):
+        spec, cf = simplex_frame(k)
+        assert (spec.alpha, spec.gamma, cf.beta) == (SurdValue(F(k)), F(k + 1, k), 1)
+    spec = conference_frame_spec(search_conference_pairs(3)[0])
+    assert (spec.alpha, spec.gamma) == (SurdValue(F(1), 5), 2)
+    for k, (plus, minus) in STORED_BETAS.items():
+        for p, beta_plus, beta_minus in zip(conference_pairs(k), plus, minus, strict=True):
+            for variant, beta in (("plus", beta_plus), ("minus", beta_minus)):
+                spec, cf = conference_frame(p, variant)
+                assert spec.alpha == SurdValue(F({5: 3, 13: 5, 25: 7}[k]))
+                assert spec.gamma == 2
+                assert cf.beta == int(beta), (k, p, variant)
+    for build, gamma in ((frame_6_16, F(8, 3)), (frame_7_28, F(4))):
+        spec, cf = build()
+        assert (spec.alpha, spec.gamma, cf.beta) == (SurdValue(F(3)), gamma, 1)
+
+
+def flipped(spec):
+    """The frame with the sign of the inner product between vectors 1 and 2 flipped."""
+    c = [row[:] for row in spec.seidel]
+    c[0][1] = c[1][0] = -c[0][1]
+    return FrameSpec(k=spec.k, n=spec.n, seidel=c)
+
+
+def gram_is_tight(spec):
+    """M² = gamma·M on the rational Gram M, with denominators cleared first."""
+    scale, m = clear_denominators(full_gram(spec))
+    g = spec.gamma * scale
+    return mat_mul(m, m) == [[g * v for v in row] for row in m]
+
+
+def test_tightness_identity_agrees_with_the_definition():
+    specs = [simplex_frame(k)[0] for k in range(2, 13)]
+    specs += [conference_frame_spec(p) for k in STORED_BETAS for p in conference_pairs(k)]
+    specs += [frame_6_16()[0], frame_7_28()[0]]
+    verdicts = set()
+    for spec in specs + [flipped(s) for s in specs]:
+        direct = gram_is_tight(spec)
+        assert validate_frame(spec).tightness_ok == direct, (spec.k, spec.n)
+        verdicts.add(direct)
+    assert verdicts == {True, False}
+
+
+def test_tightness_identity_agrees_with_the_surd_split():
+    # alpha = sqrt(5) at k = 3: M² = gamma·M holds exactly when the rational
+    # part C² = (gamma-1)·alpha²·I and the surd part (gamma-2)·C = 0 both do
+    # (k, n) = (4, 6) relabels the same C: alpha = sqrt(10), gamma = 3/2, so
+    # the rational part C² = 5·I still holds but the surd part fails
+    spec = conference_frame_spec(search_conference_pairs(3)[0])
+    relabelled = FrameSpec(k=4, n=6, seidel=spec.seidel)
+    verdicts = []
+    for s in (spec, flipped(spec), relabelled):
+        cc = mat_mul(s.seidel, s.seidel)
+        rational_part = cc == [[(s.gamma - 1) * s.alpha.squared() * (i == j) for j in range(6)]
+                               for i in range(6)]
+        surd_part = all((s.gamma - 2) * v == 0 for row in s.seidel for v in row)
+        assert s.alpha.radicand > 1
+        assert validate_frame(s).tightness_ok == (rational_part and surd_part)
+        verdicts.append((rational_part, surd_part))
+    assert verdicts == [(True, True), (False, True), (True, False)]
+
+
+def test_seidel_shape():
+    spec, _ = simplex_frame(3)
+    assert validate_frame(spec).seidel_ok
+    for i, j, v in ((0, 1, 1), (0, 0, -1), (0, 1, 2)):
+        c = [row[:] for row in spec.seidel]
+        c[i][j] = v  # breaks symmetry, the zero diagonal, or the +-1 entries
+        assert not validate_frame(FrameSpec(k=3, n=4, seidel=c)).seidel_ok

@@ -60,7 +60,6 @@ def test_square_lattice_is_eutactic_with_constant_two():
     out = geometry.strong_eutaxy_check(model, rep)
     assert out.is_strongly_eutactic
     assert out.parseval_constant == 2
-    assert out.sum_is_zero
 
 
 def test_rectangular_lattice_is_not_eutactic():

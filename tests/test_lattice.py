@@ -229,8 +229,8 @@ def test_minimal_6_16():
 
 
 def test_frame_vectors_trivial_when_basis_is_whole_frame():
-    spec = FrameSpec(k=2, n=2, gamma=F(1), alpha=SurdValue(F(1)), seidel=[[0, 0], [0, 0]])
-    cf = CoordinateFrame(frame=spec, basis_indices=(1, 2), coords=[[], []], beta=1)
+    spec = FrameSpec(k=2, n=2, seidel=[[0, 0], [0, 0]])
+    cf = CoordinateFrame(frame=spec, basis_indices=(1, 2), coords=[[], []])
     model = LatticeModel(k=2, gram=[[F(1), F(0)], [F(0), F(1)]], coord_frame=cf)
     rep = minimal_vectors(model)
     assert frame_vectors_are_minimal(model, rep)
