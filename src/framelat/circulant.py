@@ -1,11 +1,12 @@
 """Symmetric circulant rows over the integers/rationals and the conference-pair search.
 
 A symmetric circulant is determined by its palindromic first row, so everything
-here works on rows; full matrices are materialized only when a caller needs one
-(determinants, linear solves).  The search enumerates sign patterns for a pair
-of circulants (A, D) with A having a zero leading entry, looking for
-a*a + d*d = (2k-1)e0 under cyclic convolution — equivalently C^2 = (2k-1)I for
-the block matrix C = [[A, D], [D, -A]].
+here works on rows.  Only ``circulant_solve`` (det circ(row) and quotients by
+it, one elimination) and ``circulant_determinant`` materialize a dense matrix
+for arithmetic; inverses and ``compute_N`` are built on them.  The search
+enumerates sign patterns for a pair of circulants (A, D) with A having a zero
+leading entry, looking for a*a + d*d = (2k-1)e0 under cyclic convolution —
+equivalently C^2 = (2k-1)I for the block matrix C = [[A, D], [D, -A]].
 
 The search never convolves rows.  It keys each candidate row a by the integer
 Σ_j (a*a)_j·B^j with B = 2^16 (Kronecker substitution).  A palindromic row has
@@ -25,7 +26,7 @@ from itertools import product
 from operator import mul
 from typing import NamedTuple
 
-from .exact import Rational, SingularMatrixError, SizeMismatchError, solve_linear, transpose
+from .exact import Rational, SizeMismatchError, bareiss_determinant, determinant_and_solution
 
 Row = tuple  # first row of a circulant; entries int or Fraction
 
@@ -189,19 +190,30 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
             for signs in joined]
 
 
-def circulant_inverse(row: Row) -> Row:
-    """First row of the inverse circulant, exact.
+def circulant_determinant(row: Row) -> Fraction:
+    """det circ(row), exact."""
+    return bareiss_determinant(circulant_matrix(row))
 
-    Solves conv(r, row) = e0 for r, which in matrix form is circ(row)' r = e0.
+
+def circulant_solve(row: Row, rhs=()) -> tuple[Fraction, list[Row] | None]:
+    """det circ(row) and, for each r in rhs, the first row y with conv(y, row) = r.
+
+    conv(y, row) = r reads circ(row)'·y = r in matrix form, so one elimination
+    of [circ(row)' | r ...] gives the determinant and every y; the rows are
+    None when circ(row) is singular.
     """
     k = len(row)
-    m = transpose(circulant_matrix(row))
-    e0 = [[1 if i == 0 else 0] for i in range(k)]
-    try:
-        col = solve_linear(m, e0)
-    except SingularMatrixError as exc:
-        raise SingularCirculantError("circulant is singular") from exc
-    return tuple(r[0] for r in col)
+    transposed = circulant_matrix([row[-j] for j in range(k)])
+    det, cols = determinant_and_solution(transposed, [[r[i] for r in rhs] for i in range(k)])
+    return det, None if cols is None else [tuple(c[t] for c in cols) for t in range(len(rhs))]
+
+
+def circulant_inverse(row: Row) -> Row:
+    """First row of the inverse circulant, exact: the y with conv(y, row) = e0."""
+    rows = circulant_solve(row, [(1,) + (0,) * (len(row) - 1)])[1]
+    if rows is None:
+        raise SingularCirculantError("circulant is singular")
+    return rows[0]
 
 
 def add_scalar(row: Row, c) -> Row:
@@ -215,22 +227,14 @@ def compute_N(p: ConferencePair, a: Rational, b: Rational) -> Row:
     The D-pivot form is preferred whenever D + bI is invertible; with
     (a, b) = (α, 0), α = sqrt(2k − 1), it specializes to N = D^{-1}(A − αI).
     """
-    k = p.k
-    if Fraction(a) ** 2 + Fraction(b) ** 2 != 2 * k - 1:
+    if Fraction(a) ** 2 + Fraction(b) ** 2 != 2 * p.k - 1:
         raise ValueError("need a^2 + b^2 = 2k - 1")
-    try:
-        inv = circulant_inverse(add_scalar(p.d_row, b))
-    except SingularCirculantError:
-        pass
-    else:
-        rhs = add_scalar(p.a_row, -a)
-        return circulant_multiply(inv, rhs)
-    try:
-        inv = circulant_inverse(add_scalar(p.a_row, a))
-    except SingularCirculantError:
-        raise BothSingularError("A + aI and D + bI are both singular") from None
-    rhs = add_scalar(tuple(-v for v in p.d_row), b)
-    return circulant_multiply(inv, rhs)
+    for pivot, rhs in ((add_scalar(p.d_row, b), add_scalar(p.a_row, -a)),
+                       (add_scalar(p.a_row, a), add_scalar(tuple(-v for v in p.d_row), b))):
+        rows = circulant_solve(pivot, [rhs])[1]
+        if rows is not None:
+            return rows[0]
+    raise BothSingularError("A + aI and D + bI are both singular")
 
 
 # --- JSON cache -------------------------------------------------------------

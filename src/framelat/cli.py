@@ -596,7 +596,7 @@ def _check_oracle_equivalence():
 
 
 def _random_pd_gram(rng, k):
-    a = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
+    a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
     g = mat_mul(transpose(a), a)
     for i in range(k):
         g[i][i] += 1
@@ -604,7 +604,7 @@ def _random_pd_gram(rng, k):
 
 
 def _random_unimodular(rng, k):
-    u = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
     for _ in range(3 * k):
         i, j = rng.sample(range(k), 2)
         c = rng.choice((-2, -1, 1, 2))

@@ -118,13 +118,25 @@ def _eliminate(m: Sequence[Sequence[Rational]]) -> _Elimination:
     return _Elimination(rows, pivots, sign, prev, scale)
 
 
+def determinant_and_solution(a: Mat, b: Mat) -> tuple[Fraction, Mat | None]:
+    """det A and the solution Y of A·Y = B from one elimination of [A | B].
+
+    det A = sign · last pivot / row scale, where the scale also covers B's
+    denominators; (0, None) when A is singular.
+    """
+    _require_square(a)
+    k = len(a)
+    if len(b) != k:
+        raise SizeMismatchError("right-hand side has wrong number of rows")
+    e = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if e.pivots[:k] != list(range(k)):
+        return Fraction(0), None
+    return Fraction(e.sign * e.last, e.scale), [[Fraction(v, e.last) for v in row[k:]] for row in e.rows]
+
+
 def bareiss_determinant(m: Mat) -> Fraction:
-    """Exact determinant: sign · last pivot / row scale of the elimination."""
-    _require_square(m)
-    e = _eliminate(m)
-    if len(e.pivots) < len(m):
-        return Fraction(0)
-    return Fraction(e.sign * e.last, e.scale)
+    """Exact determinant: the elimination with an empty right-hand side."""
+    return determinant_and_solution(m, [[] for _ in m])[0]
 
 
 def pivot_columns(m: Mat) -> list[int]:
@@ -139,14 +151,10 @@ def matrix_rank(m: Mat) -> int:
 
 def solve_linear(a: Mat, b: Mat) -> Mat:
     """Solve A·Y = B exactly by eliminating [A | B]. Raises SingularMatrixError."""
-    _require_square(a)
-    k = len(a)
-    if len(b) != k:
-        raise SizeMismatchError("right-hand side has wrong number of rows")
-    e = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)])
-    if e.pivots[:k] != list(range(k)):
+    y = determinant_and_solution(a, b)[1]
+    if y is None:
         raise SingularMatrixError("matrix is singular")
-    return [[Fraction(v, e.last) for v in row[k:]] for row in e.rows]
+    return y
 
 
 def mat_inverse(a: Mat) -> Mat:
@@ -235,8 +243,7 @@ class SurdValue:
     """An exact value coeff·√radicand with squarefree radicand.
 
     radicand == 1 exactly when the value is rational.  Only the operations
-    the package needs are provided: multiplication by rationals, comparison
-    against rationals, and float conversion.
+    the package needs are provided: equality and float conversion.
     """
 
     coeff: Fraction
@@ -252,20 +259,11 @@ class SurdValue:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "radicand", f)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
     def squared(self) -> Fraction:
         return self.coeff * self.coeff * self.radicand
 
     def __float__(self) -> float:
         return float(self.coeff) * self.radicand ** 0.5
-
-    def __mul__(self, other: Rational) -> "SurdValue":
-        return SurdValue(self.coeff * Fraction(other), self.radicand)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SurdValue):
@@ -276,34 +274,6 @@ class SurdValue:
 
     def __hash__(self) -> int:
         return hash((self.coeff, self.radicand))
-
-    def _cmp(self, other: Rational) -> int:
-        """Exact sign of (self - other) for rational other."""
-        other = Fraction(other)
-        if self.radicand == 1:
-            return (self.coeff > other) - (self.coeff < other)
-        # compare coeff*sqrt(r) with other; both sides may be negative
-        lhs_sq = self.squared()
-        rhs_sq = other * other
-        if self.coeff > 0:
-            if other <= 0:
-                return 1
-            return (lhs_sq > rhs_sq) - (lhs_sq < rhs_sq)
-        if other >= 0:
-            return -1
-        return (lhs_sq < rhs_sq) - (lhs_sq > rhs_sq)
-
-    def __lt__(self, other: Rational) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: Rational) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: Rational) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: Rational) -> bool:
-        return self._cmp(other) >= 0
 
     def __repr__(self) -> str:
         if self.radicand == 1:

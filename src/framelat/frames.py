@@ -24,16 +24,15 @@ from .circulant import (
     Row,
     SingularCirculantError,
     add_scalar,
-    circulant_inverse,
+    circulant_determinant,
     circulant_matrix,
-    circulant_multiply,
+    circulant_solve,
     compute_N,
     is_conference,
 )
 from .exact import (
     Mat,
     SurdValue,
-    bareiss_determinant,
     mat_mul,
     pivot_columns,
     solve_linear,
@@ -204,29 +203,27 @@ def conference_data(p: ConferencePair) -> ConferenceData:
 
     The conference condition A² + D² = alpha²·I between commuting circulants
     gives D² = (alpha·I - A)(alpha·I + A), so an invertible D makes both
-    alpha·I ± A invertible, and one solve against D yields both rows:
-    N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  D is
-    symmetric and commutes with circ(r), so the first row of D^{-1}·circ(r)
-    is the solution y of D·y = r.  The same identity gives
-    det(alpha·I - A) = det(D)²/det(alpha·I + A) exactly.  A singular D leaves
-    N to compute_N's fallback, which is then singular itself, and
-    det(alpha·I - A) to its own elimination.
+    alpha·I ± A invertible, and one solve against D yields det D and both
+    rows: N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  The
+    same identity gives det(alpha·I - A) = det(D)²/det(alpha·I + A) exactly,
+    so an invertible D costs two eliminations: the solve and det(alpha·I + A).
+    A singular D leaves N to compute_N's fallback, which is then singular
+    itself, and det(alpha·I - A) to its own elimination.
     """
     alpha = int(rational_alpha(p.k, 2 * p.k))
     if not is_conference(p):
         raise ValueError("not a conference pair: a*a + d*d != (2k-1)e0")
     a_minus = add_scalar(p.a_row, -alpha)
     plus_row = add_scalar(p.a_row, alpha)
-    d = circulant_matrix(p.d_row)
-    det_d, det_plus = (int(bareiss_determinant(m)) for m in (d, circulant_matrix(plus_row)))
-    if det_d == 0:
-        det_minus = int(bareiss_determinant(circulant_matrix([-v for v in a_minus])))
+    det_plus = int(circulant_determinant(plus_row))
+    det_d, rows = circulant_solve(p.d_row, [a_minus, tuple(-v for v in plus_row)])
+    if rows is None:
+        det_minus = int(circulant_determinant(tuple(-v for v in a_minus)))
         n_row, n_inv_row = compute_N(p, alpha, 0), None
     else:
         det_minus = det_d ** 2 // det_plus
-        rhs = transpose([a_minus, [-v for v in plus_row]])
-        n_row, n_inv_row = map(tuple, transpose(solve_linear(d, rhs)))
-    return ConferenceData(alpha, n_row, n_inv_row, det_d, det_plus, det_minus)
+        n_row, n_inv_row = rows
+    return ConferenceData(alpha, n_row, n_inv_row, int(det_d), det_plus, det_minus)
 
 
 def conference_frame(p: ConferencePair, variant: str) -> tuple[FrameSpec, CoordinateFrame]:
@@ -273,7 +270,10 @@ def goethals_seidel_coordinates(p: ConferencePair, a, b) -> CoordinateFrame:
     s = rational_alpha(k, 2 * k) + F(a)
     lead_row = tuple((s if i == 0 else 0) + F(b) * v for i, v in enumerate(n_row))
     rhs_row = tuple((F(b) if i == 0 else 0) - s * v for i, v in enumerate(n_row))
-    x_row = circulant_multiply(circulant_inverse(lead_row), rhs_row)
+    rows = circulant_solve(lead_row, [rhs_row])[1]
+    if rows is None:
+        raise SingularCirculantError("(alpha+a)I + bN is singular")
+    x_row = rows[0]
     return CoordinateFrame(frame=conference_frame_spec(p), basis_indices=tuple(range(1, k + 1)),
                            coords=circulant_matrix(x_row))
 

@@ -14,10 +14,13 @@ from framelat.circulant import (
     ConferencePair,
     MalformedPatternError,
     SingularCirculantError,
+    add_scalar,
     autocorrelation_key,
+    circulant_determinant,
     circulant_inverse,
     circulant_matrix,
     circulant_multiply,
+    circulant_solve,
     compute_N,
     free_sign_counts,
     is_conference,
@@ -26,6 +29,7 @@ from framelat.circulant import (
     search_conference_pairs,
 )
 from framelat.exact import SizeMismatchError, bareiss_determinant
+from test_exact import cofactor_determinant
 
 F = Fraction
 
@@ -213,6 +217,33 @@ def test_inverse_of_non_numeric_row_is_not_reported_singular():
         circulant_inverse(("x", 1, 1))
 
 
+@st.composite
+def rational_circulant_rows(draw):
+    """Rational rows of length 1..6, palindromic or not, singular or not."""
+    k = draw(st.integers(1, 6))
+    row = [draw(st.fractions(-5, 5, max_denominator=6)) for _ in range(k)]
+    if draw(st.booleans()):
+        row = [row[min(i, k - i)] for i in range(k)]
+    if draw(st.booleans()):  # row sum 0 puts the all-ones vector in the kernel
+        row[0] -= sum(row)
+    return tuple(row)
+
+
+@given(rational_circulant_rows(), st.data())
+def test_circulant_solve_matches_cofactor_and_convolution(row, data):
+    k = len(row)
+    entry = st.fractions(-5, 5, max_denominator=7)
+    rhs = data.draw(st.lists(st.tuples(*[entry] * k), max_size=3))
+    det, rows = circulant_solve(row, rhs)
+    assert det == cofactor_determinant(circulant_matrix(row)) == circulant_determinant(row)
+    if det == 0:
+        assert rows is None
+    else:
+        assert len(rows) == len(rhs)
+        for y, r in zip(rows, rhs):
+            assert circulant_multiply(y, row) == r
+
+
 def test_compute_N_t1():
     pair = ConferencePair(5, *T5[0])
     n_row = compute_N(pair, 3, 0)
@@ -237,6 +268,19 @@ def test_compute_N_defining_identity():
             assert lhs_d == (a_row[0] - a,) + a_row[1:]
             lhs_a = circulant_multiply((a_row[0] + a,) + a_row[1:], n_row)
             assert tuple(lhs_a) == (F(b) - d_row[0],) + tuple(-v for v in d_row[1:])
+
+
+def test_compute_N_a_pivot_branch():
+    # at k = 13, (a, b) = (-4, -3) makes D + bI singular while A + aI is
+    # invertible, so N comes from the A pivot; both identities still hold
+    p = search_conference_pairs(13)[0]
+    a, b = -4, -3
+    assert circulant_determinant(add_scalar(p.d_row, b)) == 0
+    assert circulant_determinant(add_scalar(p.a_row, a)) != 0
+    n_row = compute_N(p, a, b)
+    assert circulant_multiply(add_scalar(p.d_row, b), n_row) == add_scalar(p.a_row, -a)
+    minus_d = tuple(-v for v in p.d_row)
+    assert circulant_multiply(add_scalar(p.a_row, a), n_row) == add_scalar(minus_d, b)
 
 
 def test_compute_N_both_pivots_singular():
