@@ -3,7 +3,7 @@
 A symmetric circulant is determined by its palindromic first row, so everything
 here works on rows.  Only ``circulant_solve`` (det circ(row) and quotients by
 it, one elimination) and ``circulant_determinant`` materialize a dense matrix
-for arithmetic; inverses and ``compute_N`` are built on them.  The search
+for arithmetic; inverses and ``compute_N`` are one such solve each.  The search
 enumerates sign patterns for a pair of circulants (A, D) with A having a zero
 leading entry, looking for a*a + d*d = (2k-1)e0 under cyclic convolution —
 equivalently C^2 = (2k-1)I for the block matrix C = [[A, D], [D, -A]].
@@ -39,10 +39,6 @@ class SingularCirculantError(ZeroDivisionError):
     """The circulant has no inverse."""
 
 
-class BothSingularError(ZeroDivisionError):
-    """Neither A + aI nor D + bI is invertible."""
-
-
 class CacheCorruptError(ValueError):
     """A pair-cache file failed schema or conference validation."""
 
@@ -76,6 +72,8 @@ def _check_pattern(p: ConferencePair) -> None:
     k = p.k
     if len(p.a_row) != k or len(p.d_row) != k:
         raise MalformedPatternError("row lengths do not match k")
+    if any(type(v) is not int for v in (*p.a_row, *p.d_row)):
+        raise MalformedPatternError("row entries must be ints")
     if p.a_row[0] != 0:
         raise MalformedPatternError("aRow must start with 0")
     if any(v not in (-1, 1) for v in p.a_row[1:]):
@@ -221,20 +219,17 @@ def add_scalar(row: Row, c) -> Row:
     return (row[0] + c,) + tuple(row[1:])
 
 
-def compute_N(p: ConferencePair, a: Rational, b: Rational) -> Row:
-    """First row of N = (D + bI)^{-1}(A − aI), falling back to (A + aI)^{-1}(bI − D).
+def compute_N(p: ConferencePair, alpha: Rational) -> Row:
+    """First row of N = -(alpha·I + A)^{-1}·D, alpha = sqrt(2k - 1).
 
-    The D-pivot form is preferred whenever D + bI is invertible; with
-    (a, b) = (α, 0), α = sqrt(2k − 1), it specializes to N = D^{-1}(A − αI).
+    This is D^{-1}(A - alpha·I) whenever D is invertible, since commuting
+    circulants with A² + D² = alpha²·I have D² = (alpha·I - A)(alpha·I + A).
+    A singular alpha·I + A raises SingularCirculantError.
     """
-    if Fraction(a) ** 2 + Fraction(b) ** 2 != 2 * p.k - 1:
-        raise ValueError("need a^2 + b^2 = 2k - 1")
-    for pivot, rhs in ((add_scalar(p.d_row, b), add_scalar(p.a_row, -a)),
-                       (add_scalar(p.a_row, a), add_scalar(tuple(-v for v in p.d_row), b))):
-        rows = circulant_solve(pivot, [rhs])[1]
-        if rows is not None:
-            return rows[0]
-    raise BothSingularError("A + aI and D + bI are both singular")
+    rows = circulant_solve(add_scalar(p.a_row, alpha), [tuple(-v for v in p.d_row)])[1]
+    if rows is None:
+        raise SingularCirculantError("alpha·I + A is singular")
+    return rows[0]
 
 
 # --- JSON cache -------------------------------------------------------------
@@ -265,7 +260,7 @@ def load_pairs(path: str) -> list[ConferencePair]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheCorruptError(f"unreadable cache {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "k" not in doc or "pairs" not in doc:
+    if not isinstance(doc, dict) or type(doc.get("k")) is not int or "pairs" not in doc:
         raise CacheCorruptError(f"bad cache schema in {path}")
     k = doc["k"]
     pairs = []

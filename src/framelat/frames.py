@@ -190,7 +190,7 @@ def is_integral(row) -> bool:
 
 class ConferenceData(NamedTuple):
     alpha: int
-    n_row: Row  # first row of N = D^{-1}(A - alpha·I)
+    n_row: Row  # first row of N = -(alpha·I + A)^{-1}·D = D^{-1}(A - alpha·I)
     n_inv_row: Row | None  # first row of N^{-1}; None when D is singular
     det_d: int
     det_plus: int  # det(alpha·I + A)
@@ -206,24 +206,21 @@ def conference_data(p: ConferencePair) -> ConferenceData:
     alpha·I ± A invertible, and one solve against D yields det D and both
     rows: N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  The
     same identity gives det(alpha·I - A) = det(D)²/det(alpha·I + A) exactly,
-    so an invertible D costs two eliminations: the solve and det(alpha·I + A).
-    A singular D leaves N to compute_N's fallback, which is then singular
-    itself, and det(alpha·I - A) to its own elimination.
+    so a pair costs two eliminations: the solve and det(alpha·I + A).
+
+    D is invertible at prime k: its eigenvalues d(w^j) at the nontrivial k-th
+    roots of unity w^j are Galois conjugates, so one zero makes them all zero
+    and D = ±J, whose eigenvalue ±k has k² > 2k - 1 = alpha².  A singular D
+    would leave N to compute_N and N^{-1} to None.
     """
     alpha = int(rational_alpha(p.k, 2 * p.k))
     if not is_conference(p):
         raise ValueError("not a conference pair: a*a + d*d != (2k-1)e0")
-    a_minus = add_scalar(p.a_row, -alpha)
     plus_row = add_scalar(p.a_row, alpha)
     det_plus = int(circulant_determinant(plus_row))
-    det_d, rows = circulant_solve(p.d_row, [a_minus, tuple(-v for v in plus_row)])
-    if rows is None:
-        det_minus = int(circulant_determinant(tuple(-v for v in a_minus)))
-        n_row, n_inv_row = compute_N(p, alpha, 0), None
-    else:
-        det_minus = det_d ** 2 // det_plus
-        n_row, n_inv_row = rows
-    return ConferenceData(alpha, n_row, n_inv_row, int(det_d), det_plus, det_minus)
+    det_d, rows = circulant_solve(p.d_row, [add_scalar(p.a_row, -alpha), tuple(-v for v in plus_row)])
+    n_row, n_inv_row = rows if rows else (compute_N(p, alpha), None)
+    return ConferenceData(alpha, n_row, n_inv_row, int(det_d), det_plus, det_d ** 2 // det_plus)
 
 
 def conference_frame(p: ConferencePair, variant: str) -> tuple[FrameSpec, CoordinateFrame]:
@@ -255,27 +252,6 @@ def preferred_variant(p: ConferencePair) -> str:
     the integers directly; otherwise the minus basis does, via N^{-1}.
     """
     return "plus" if is_integral(conference_data(p).n_row) else "minus"
-
-
-def goethals_seidel_coordinates(p: ConferencePair, a, b) -> CoordinateFrame:
-    """Coordinates over columns 1..k from the two-parameter construction.
-
-    For any rational a, b with a² + b² = 2k - 1 the remaining columns are
-    X = ((alpha+a)I + bN)^{-1} (bI - (alpha+a)N) with N sharing the same
-    (a, b); everything stays a circulant, so the work happens on first rows.
-    A singular (alpha+a)I + bN raises SingularCirculantError.
-    """
-    k = p.k
-    n_row = compute_N(p, a, b)
-    s = rational_alpha(k, 2 * k) + F(a)
-    lead_row = tuple((s if i == 0 else 0) + F(b) * v for i, v in enumerate(n_row))
-    rhs_row = tuple((F(b) if i == 0 else 0) - s * v for i, v in enumerate(n_row))
-    rows = circulant_solve(lead_row, [rhs_row])[1]
-    if rows is None:
-        raise SingularCirculantError("(alpha+a)I + bN is singular")
-    x_row = rows[0]
-    return CoordinateFrame(frame=conference_frame_spec(p), basis_indices=tuple(range(1, k + 1)),
-                           coords=circulant_matrix(x_row))
 
 
 # Sign rows whose 16 columns, scaled by 1/sqrt(6), are unit vectors with

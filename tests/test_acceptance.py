@@ -106,7 +106,7 @@ def test_criterion_04_5_10():
         expected_n = [(1, 0, -1, -1, 0), (-1, 0, 1, 1, 0),
                       (1, -1, 0, 0, -1), (-1, 1, 0, 0, 1)]
         for p, want in zip(pairs, expected_n):
-            n_row = tuple(int(Fraction(v)) for v in circulant.compute_N(p, 3, 0))
+            n_row = tuple(int(Fraction(v)) for v in circulant.compute_N(p, 3))
             assert n_row == want
             facts = cli._pair_facts(p)
             assert abs(facts["detD"]) == 48

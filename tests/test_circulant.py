@@ -2,14 +2,13 @@
 
 import json
 import random
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from framelat.circulant import (
-    BothSingularError,
     CacheCorruptError,
     ConferencePair,
     MalformedPatternError,
@@ -31,9 +30,9 @@ from framelat.circulant import (
 from framelat.exact import SizeMismatchError, bareiss_determinant
 from test_exact import cofactor_determinant
 
-F = Fraction
-
 E0_5 = (1, 0, 0, 0, 0)
+
+CACHE_25 = Path(__file__).resolve().parent.parent / "cache" / "conference-25.json"
 
 
 def signs(text):
@@ -246,55 +245,32 @@ def test_circulant_solve_matches_cofactor_and_convolution(row, data):
 
 def test_compute_N_t1():
     pair = ConferencePair(5, *T5[0])
-    n_row = compute_N(pair, 3, 0)
+    n_row = compute_N(pair, 3)
     assert n_row == (1, 0, -1, -1, 0)
 
 
 def test_compute_N_t4():
     pair = ConferencePair(5, *T5[3])
-    assert compute_N(pair, 3, 0) == (-1, 1, 0, 0, 1)
+    assert compute_N(pair, 3) == (-1, 1, 0, 0, 1)
 
 
 def test_compute_N_defining_identity():
-    # both defining identities hold exactly for one and the same N:
-    # (D + bI) N = A - aI and (A + aI) N = bI - D
-    for a_row, d_row in T5:
-        pair = ConferencePair(5, a_row, d_row)
-        for a, b in ((3, 0), (0, 3), (F(9, 5), F(12, 5))):
-            if (a, b) == (0, 3) and d_row[0] == 1:
-                continue  # D + 3I singular there, A singular too
-            n_row = compute_N(pair, a, b)
-            lhs_d = circulant_multiply((d_row[0] + b,) + d_row[1:], n_row)
-            assert lhs_d == (a_row[0] - a,) + a_row[1:]
-            lhs_a = circulant_multiply((a_row[0] + a,) + a_row[1:], n_row)
-            assert tuple(lhs_a) == (F(b) - d_row[0],) + tuple(-v for v in d_row[1:])
+    # on every pair both defining identities hold exactly for one and the
+    # same N: D·N = A - alpha·I and (alpha·I + A)·N = -D
+    for k, alpha in ((5, 3), (13, 5), (25, 7)):
+        pairs = load_pairs(str(CACHE_25)) if k == 25 else search_conference_pairs(k)
+        assert len(pairs) == {5: 4, 13: 12, 25: 20}[k]
+        for p in pairs:
+            n_row = compute_N(p, alpha)
+            assert circulant_multiply(p.d_row, n_row) == add_scalar(p.a_row, -alpha)
+            minus_d = tuple(-v for v in p.d_row)
+            assert circulant_multiply(add_scalar(p.a_row, alpha), n_row) == minus_d
 
 
-def test_compute_N_a_pivot_branch():
-    # at k = 13, (a, b) = (-4, -3) makes D + bI singular while A + aI is
-    # invertible, so N comes from the A pivot; both identities still hold
-    p = search_conference_pairs(13)[0]
-    a, b = -4, -3
-    assert circulant_determinant(add_scalar(p.d_row, b)) == 0
-    assert circulant_determinant(add_scalar(p.a_row, a)) != 0
-    n_row = compute_N(p, a, b)
-    assert circulant_multiply(add_scalar(p.d_row, b), n_row) == add_scalar(p.a_row, -a)
-    minus_d = tuple(-v for v in p.d_row)
-    assert circulant_multiply(add_scalar(p.a_row, a), n_row) == add_scalar(minus_d, b)
-
-
-def test_compute_N_both_pivots_singular():
-    pair = ConferencePair(5, *T5[0])
-    # D's row sums to 3, so b = -3 kills the all-ones eigenvalue of D + bI;
-    # A itself is singular, so a = 0 leaves no usable pivot on either side.
-    with pytest.raises(BothSingularError):
-        compute_N(pair, 0, -3)
-
-
-def test_compute_N_rejects_bad_parameters():
-    pair = ConferencePair(5, *T5[0])
-    with pytest.raises(ValueError):
-        compute_N(pair, 1, 1)
+def test_compute_N_singular_plus_block():
+    # alpha = 0 solves against A itself, which is singular at k = 5
+    with pytest.raises(SingularCirculantError):
+        compute_N(ConferencePair(5, *T5[0]), 0)
 
 
 def test_cache_roundtrip(tmp_path):

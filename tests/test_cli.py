@@ -121,6 +121,19 @@ def test_corrupt_cache_is_a_cache_error(workdir, capsys):
     assert bad.read_text() == "garbage"
 
 
+@pytest.mark.parametrize("k, one", [(5, 1.0), (5, True), (5.0, 1)])
+def test_non_int_cache_entries_are_a_cache_error(workdir, capsys, k, one):
+    # 1.0 and true compare equal to 1, so only a type check keeps them out
+    bad = workdir / "non-int.json"
+    pairs = [{"aRow": [one if v == 1 else v for v in p.a_row], "dRow": list(p.d_row)}
+             for p in circulant.search_conference_pairs(5)]
+    bad.write_text(json.dumps({"k": k, "pairs": pairs}))
+    for argv in (("search", "5"), ("analyze", "conference:5:0")):
+        code, _, err = run(capsys, *argv, "--cache", str(bad), "--format", "json")
+        assert code == 3, argv
+        assert "cache error" in err
+
+
 def test_cache_directory_option(workdir, capsys):
     cachedir = workdir / "pairdir"
     cachedir.mkdir()

@@ -7,7 +7,6 @@ import pytest
 
 from framelat.circulant import (
     ConferencePair,
-    SingularCirculantError,
     circulant_inverse,
     circulant_matrix,
     circulant_multiply,
@@ -17,7 +16,6 @@ from framelat.circulant import (
 )
 from framelat.exact import SurdValue, bareiss_determinant, clear_denominators, mat_mul
 from framelat.frames import (
-    CoordinateFrame,
     FrameSpec,
     IrrationalAlphaError,
     basis_gram,
@@ -27,7 +25,6 @@ from framelat.frames import (
     frame_6_16,
     frame_7_28,
     full_gram,
-    goethals_seidel_coordinates,
     gram_consistency_holds,
     select_basis_greedy,
     simplex_frame,
@@ -154,7 +151,7 @@ def test_conference_data_matches_the_dense_reference(k):
     for p in pairs:
         data = conference_data(p)
         assert data.alpha == alpha
-        assert data.n_row == compute_N(p, alpha, 0)
+        assert data.n_row == compute_N(p, alpha)
         assert data.n_inv_row == circulant_inverse(data.n_row)
         assert circulant_multiply(data.n_row, data.n_inv_row) == e0
         a = circulant_matrix(p.a_row)
@@ -176,37 +173,6 @@ def test_conference_data_rejects_a_non_conference_pair():
 def test_conference_data_irrational_alpha():
     with pytest.raises(IrrationalAlphaError):
         conference_data(search_conference_pairs(3)[0])
-
-
-# --- two-parameter coordinates ----------------------------------------------
-
-def test_goethals_seidel_a0_b3():
-    pairs = search_conference_pairs(5)
-    cf = goethals_seidel_coordinates(pairs[0], 0, 3)
-    assert cf.beta == 1
-    assert cf.coords[0] == [-1, 0, 1, 1, 0]
-    assert gram_consistency_holds(cf)
-
-
-def test_goethals_seidel_reduces_to_plus_variant():
-    pairs = search_conference_pairs(5)
-    for i, p in enumerate(pairs, start=1):
-        cf_gs = goethals_seidel_coordinates(p, 3, 0)
-        _, cf_plus = conference_frame(p, "plus")
-        assert cf_gs.coords == cf_plus.coords
-
-
-def test_goethals_seidel_singular_lead_block():
-    # a = -alpha leaves the lead block (alpha + a)I + bN = 0
-    p = search_conference_pairs(5)[0]
-    with pytest.raises(SingularCirculantError):
-        goethals_seidel_coordinates(p, -3, 0)
-
-
-def test_goethals_seidel_rational_nonint_parameters():
-    pairs = search_conference_pairs(5)
-    cf = goethals_seidel_coordinates(pairs[0], F(9, 5), F(12, 5))
-    assert gram_consistency_holds(cf)
 
 
 # --- explicit frames ----------------------------------------------------------
