@@ -19,7 +19,7 @@ ALLOWED_WITHOUT_CALLER = {
 
 
 def _defined_names(stmt) -> list[str]:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         return [stmt.name]
     if isinstance(stmt, ast.Assign):
         return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
