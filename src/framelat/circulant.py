@@ -8,13 +8,17 @@ enumerates sign patterns for a pair of circulants (A, D) with A having a zero
 leading entry, looking for a*a + d*d = (2k-1)e0 under cyclic convolution —
 equivalently C^2 = (2k-1)I for the block matrix C = [[A, D], [D, -A]].
 
-The search never convolves rows.  It keys each candidate row a by the integer
-Σ_j (a*a)_j·B^j with B = 2^16 (Kronecker substitution).  A palindromic row has
-a(x^-1) ≡ a(x) mod x^k - 1, so with E = Σ (a_j + 1)·B^j the autocorrelation is
-E² mod (B^k - 1) minus (2·Σa + k)·J, where J = Σ B^j.  Each digit of the folded
-square is at most 4k < B (for k < 2^14), so no digit carries into the next;
-the keys of two autocorrelations (digits at most k in absolute value) are
-equal exactly when the autocorrelations are.
+The default search never convolves rows.  It keys each candidate row a by the
+integer Σ_j (a*a)_j·B^j with B = 2^16 (Kronecker substitution).  A palindromic
+row has a(x^-1) ≡ a(x) mod x^k - 1, so with E = Σ (a_j + 1)·B^j the
+autocorrelation is E² mod (B^k - 1) minus (2·Σa + k)·J, where J = Σ B^j.  Each
+digit of the folded square is at most 4k < B (for k < 2^14), so no digit
+carries into the next; the keys of two autocorrelations (digits at most k in
+absolute value) are equal exactly when the autocorrelations are.
+
+The brute-force audit uses no keys: it convolves each candidate half-row (aRow
+or dRow) once with ``circulant_multiply`` and checks every combination by
+adding the two stored autocorrelations entry by entry.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import json
 import os
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .exact import Rational, SizeMismatchError, bareiss_determinant, determinant_and_solution
@@ -157,8 +161,10 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
     The default strategy is meet-in-the-middle on integer keys: bucket aRow
     candidates by 2k - 1 minus the key of a*a and join dRow candidates on the
     key of d*d (``autocorrelation_key``); rows are built for joined pairs only.
-    ``brute_force=True`` scans all 2^k sign tuples with ``circulant_multiply``
-    instead (auditing aid; identical output, order included).
+    ``brute_force=True`` instead convolves each of the 2^na aRow and 2^nd dRow
+    candidates once with ``circulant_multiply`` and checks all 2^(na+nd)
+    combinations by adding the two stored autocorrelations entry by entry
+    (auditing aid, independent of the keys; identical output, order included).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -166,15 +172,12 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
 
     if brute_force:
         target = (2 * k - 1,) + (0,) * (k - 1)
-        found = []
-        for signs in product((-1, 1), repeat=na + nd):
-            a = _palindromic_row(k, 0, signs[:na])
-            d = _palindromic_row(k, signs[na], signs[na + 1:])
-            aa = circulant_multiply(a, a)
-            dd = circulant_multiply(d, d)
-            if tuple(x + y for x, y in zip(aa, dd)) == target:
-                found.append(ConferencePair(k, a, d))
-        return found
+        a_half = [(a, circulant_multiply(a, a))
+                  for a in (_palindromic_row(k, 0, s) for s in product((-1, 1), repeat=na))]
+        d_half = [(d, circulant_multiply(d, d))
+                  for d in (_palindromic_row(k, s[0], s[1:]) for s in product((-1, 1), repeat=nd))]
+        return [ConferencePair(k, a, d) for a, aa in a_half for d, dd in d_half
+                if tuple(map(add, aa, dd)) == target]
 
     slots = _sign_slots(k)
     buckets: dict[int, list[tuple]] = {}
@@ -253,8 +256,9 @@ def save_pairs(path: str, k: int, pairs: list[ConferencePair]) -> None:
             os.remove(tmp)
 
 
-def load_pairs(path: str) -> list[ConferencePair]:
-    """Read a pair cache, re-validating every entry against the conference condition."""
+def load_pairs(path: str, k: int) -> list[ConferencePair]:
+    """Read the pair cache for order k, re-validating every entry against the
+    conference condition; a header for another order is a corrupt cache."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -262,7 +266,8 @@ def load_pairs(path: str) -> list[ConferencePair]:
         raise CacheCorruptError(f"unreadable cache {path}: {exc}") from exc
     if not isinstance(doc, dict) or type(doc.get("k")) is not int or "pairs" not in doc:
         raise CacheCorruptError(f"bad cache schema in {path}")
-    k = doc["k"]
+    if doc["k"] != k:
+        raise CacheCorruptError(f"cache {path} is for k = {doc['k']}, not k = {k}")
     pairs = []
     try:
         for entry in doc["pairs"]:

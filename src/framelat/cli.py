@@ -123,10 +123,7 @@ def load_or_search(k: int, cfg: RunConfig) -> tuple[list, str]:
         # a directory holds one file per size, so multi-size commands work too
         path = os.path.join(cfg.cache_path, f"conference-{k}.json")
     if not cfg.no_cache and os.path.exists(path):
-        pairs = circulant.load_pairs(path)
-        if any(p.k != k for p in pairs):
-            raise CacheCorruptError(f"cache {path} holds pairs of the wrong size")
-        return pairs, "cache"
+        return circulant.load_pairs(path, k), "cache"
     pairs = circulant.search_conference_pairs(k)
     if not cfg.no_cache:
         circulant.save_pairs(path, k, pairs)

@@ -1,5 +1,6 @@
 """Tests for circulant rows and the conference-pair search."""
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from framelat import circulant
 from framelat.circulant import (
     CacheCorruptError,
     ConferencePair,
@@ -147,8 +149,50 @@ def test_search_counts():
 
 
 def test_search_mitm_matches_brute_force():
-    for k in range(2, 14):
+    for k in range(2, 18):
         assert search_conference_pairs(k) == search_conference_pairs(k, brute_force=True)
+
+
+def mirrored_row(k, head, tail):
+    """Palindromic row: tail[i - 1] at positions i and k - i, for i = 1 .. k // 2."""
+    row = [head] + [0] * (k - 1)
+    for i, sign in enumerate(tail, 1):
+        row[i] = row[k - i] = sign
+    return tuple(row)
+
+
+def per_tuple_search(k):
+    """Reference scan: both rows and both convolutions for every sign tuple."""
+    na, nd = free_sign_counts(k)
+    target = (2 * k - 1,) + (0,) * (k - 1)
+    found = []
+    for s in itertools.product((-1, 1), repeat=na + nd):
+        a = mirrored_row(k, 0, s[:na])
+        d = mirrored_row(k, s[na], s[na + 1:])
+        aa = circulant_multiply(a, a)
+        dd = circulant_multiply(d, d)
+        if tuple(x + y for x, y in zip(aa, dd)) == target:
+            found.append(ConferencePair(k, a, d))
+    return found
+
+
+def test_brute_force_matches_per_tuple_reference():
+    # even k covers the self-mirrored middle slot
+    for k in range(2, 12):
+        assert search_conference_pairs(k, brute_force=True) == per_tuple_search(k), k
+
+
+def test_brute_force_convolves_each_half_row_once(monkeypatch):
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return circulant_multiply(a, b)
+
+    monkeypatch.setattr(circulant, "circulant_multiply", counting)
+    assert len(search_conference_pairs(13, brute_force=True)) == 12
+    assert calls == 2 ** 6 + 2 ** 7
 
 
 def packed(row):
@@ -258,7 +302,7 @@ def test_compute_N_defining_identity():
     # on every pair both defining identities hold exactly for one and the
     # same N: D·N = A - alpha·I and (alpha·I + A)·N = -D
     for k, alpha in ((5, 3), (13, 5), (25, 7)):
-        pairs = load_pairs(str(CACHE_25)) if k == 25 else search_conference_pairs(k)
+        pairs = load_pairs(str(CACHE_25), 25) if k == 25 else search_conference_pairs(k)
         assert len(pairs) == {5: 4, 13: 12, 25: 20}[k]
         for p in pairs:
             n_row = compute_N(p, alpha)
@@ -277,7 +321,7 @@ def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "pairs.json")
     pairs = search_conference_pairs(5)
     save_pairs(path, 5, pairs)
-    assert load_pairs(path) == pairs
+    assert load_pairs(path, 5) == pairs
 
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch):
@@ -292,7 +336,7 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "dump", interrupted_dump)
     with pytest.raises(KeyboardInterrupt):
         save_pairs(path, 5, pairs[:1])
-    assert load_pairs(path) == pairs
+    assert load_pairs(path, 5) == pairs
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.json"]
 
 
@@ -300,14 +344,14 @@ def test_cache_corrupt_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(CacheCorruptError):
-        load_pairs(str(path))
+        load_pairs(str(path), 5)
 
 
 def test_cache_bad_schema(tmp_path):
     path = tmp_path / "bad2.json"
     path.write_text(json.dumps({"pairs": []}))
     with pytest.raises(CacheCorruptError):
-        load_pairs(str(path))
+        load_pairs(str(path), 5)
 
 
 def test_cache_tampered_pair(tmp_path):
@@ -315,4 +359,4 @@ def test_cache_tampered_pair(tmp_path):
     doc = {"k": 5, "pairs": [{"aRow": [0, 1, 1, 1, 1], "dRow": [1, 1, 1, 1, 1]}]}
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheCorruptError):
-        load_pairs(str(path))
+        load_pairs(str(path), 5)

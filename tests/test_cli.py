@@ -105,7 +105,7 @@ def test_search_no_cache_runs_are_byte_identical(capsys):
 
 def test_cache_round_trip_preserves_pairs(workdir, capsys):
     run(capsys, "search", "5")
-    loaded = circulant.load_pairs(os.path.join("cache", "conference-5.json"))
+    loaded = circulant.load_pairs(os.path.join("cache", "conference-5.json"), 5)
     assert loaded == circulant.search_conference_pairs(5)
 
 
@@ -132,6 +132,18 @@ def test_non_int_cache_entries_are_a_cache_error(workdir, capsys, k, one):
         code, _, err = run(capsys, *argv, "--cache", str(bad), "--format", "json")
         assert code == 3, argv
         assert "cache error" in err
+
+
+def test_cache_for_another_order_is_a_cache_error(workdir, capsys):
+    # an empty pair list holds no pair of the wrong size, so only the header shows it
+    other = workdir / "c11.json"
+    code, _, _ = run(capsys, "search", "11", "--allow-unverified", "--cache", str(other))
+    assert code == 0
+    assert json.loads(other.read_text()) == {"k": 11, "pairs": []}
+    code, out, err = run(capsys, "search", "25", "--cache", str(other))
+    assert code == 3
+    assert out == ""
+    assert "cache error" in err
 
 
 def test_cache_directory_option(workdir, capsys):

@@ -139,7 +139,7 @@ CACHE_25 = Path(__file__).resolve().parent.parent / "cache" / "conference-25.jso
 
 
 def conference_pairs(k):
-    return load_pairs(str(CACHE_25)) if k == 25 else search_conference_pairs(k)
+    return load_pairs(str(CACHE_25), 25) if k == 25 else search_conference_pairs(k)
 
 
 @pytest.mark.parametrize("k", [5, 13, 25])
