@@ -14,7 +14,9 @@ row has a(x^-1) ≡ a(x) mod x^k - 1, so with E = Σ (a_j + 1)·B^j the
 autocorrelation is E² mod (B^k - 1) minus (2·Σa + k)·J, where J = Σ B^j.  Each
 digit of the folded square is at most 4k < B (for k < 2^14), so no digit
 carries into the next; the keys of two autocorrelations (digits at most k in
-absolute value) are equal exactly when the autocorrelations are.
+absolute value) are equal exactly when the autocorrelations are.  A row and
+its negation have the same autocorrelation, so only rows whose first free sign
+is -1 get keyed; each keyed row stands for itself and its negation.
 
 The brute-force audit uses no keys: it convolves each candidate half-row (aRow
 or dRow) once with ``circulant_multiply`` and checks every combination by
@@ -27,7 +29,7 @@ import json
 import os
 from fractions import Fraction
 from itertools import product
-from operator import add, mul
+from operator import add, mul, neg
 from typing import NamedTuple
 
 from .exact import Rational, SizeMismatchError, bareiss_determinant, determinant_and_solution
@@ -141,14 +143,21 @@ def autocorrelation_key(k: int, e: int, total: int) -> int:
 
 
 def _keyed_rows(k: int, slots: list[tuple]):
-    """(signs, autocorrelation_key) of every row that is 0 outside ``slots`` and
-    takes one sign on each slot's positions, in ``product`` order of the signs."""
+    """(signs, autocorrelation_key) of every row that is 0 outside ``slots``,
+    takes one sign on each slot's positions and -1 on the first slot, in
+    ``product`` order of the signs.  The row with every sign flipped is the
+    negated row and has the same key, so it is left out."""
     zero_row = sum(1 << (_DIGIT_BITS * j) for j in range(k))
     weights = [sum(1 << (_DIGIT_BITS * i) for i in positions) for positions in slots]
     sizes = [len(positions) for positions in slots]
-    for signs in product((-1, 1), repeat=len(slots)):
+    for rest in product((-1, 1), repeat=len(slots) - 1):
+        signs = (-1, *rest)
         e = zero_row + sum(map(mul, signs, weights))
         yield signs, autocorrelation_key(k, e, sum(map(mul, signs, sizes)))
+
+
+def _negated(signs: tuple) -> tuple:
+    return tuple(map(neg, signs))
 
 
 def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[ConferencePair]:
@@ -161,6 +170,9 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
     The default strategy is meet-in-the-middle on integer keys: bucket aRow
     candidates by 2k - 1 minus the key of a*a and join dRow candidates on the
     key of d*d (``autocorrelation_key``); rows are built for joined pairs only.
+    Since (-a)*(-a) = a*a, only the half of the rows with a first sign of -1 is
+    keyed: each keyed aRow is filed under both a and -a, and each keyed dRow
+    joins as both d and -d, so the sorted result is unchanged.
     ``brute_force=True`` instead convolves each of the 2^na aRow and 2^nd dRow
     candidates once with ``circulant_multiply`` and checks all 2^(na+nd)
     combinations by adding the two stored autocorrelations entry by entry
@@ -182,10 +194,11 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
     slots = _sign_slots(k)
     buckets: dict[int, list[tuple]] = {}
     for asigns, key in _keyed_rows(k, slots):
-        buckets.setdefault(2 * k - 1 - key, []).append(asigns)
-    joined = sorted(asigns + dsigns
+        buckets.setdefault(2 * k - 1 - key, []).extend((asigns, _negated(asigns)))
+    joined = sorted(asigns + signs
                     for dsigns, key in _keyed_rows(k, [(0,)] + slots)
-                    for asigns in buckets.get(key, ()))
+                    for asigns in buckets.get(key, ())
+                    for signs in (dsigns, _negated(dsigns)))
     return [ConferencePair(k, _palindromic_row(k, 0, signs[:na]),
                            _palindromic_row(k, signs[na], signs[na + 1:]))
             for signs in joined]

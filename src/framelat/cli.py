@@ -111,6 +111,11 @@ def _surd_table(records: list) -> tuple[list, list]:
 # --- conference-pair plumbing --------------------------------------------------
 
 
+def _names_directory(path: str) -> bool:
+    """A --cache path names a directory when it is one or ends in a separator."""
+    return path.endswith(os.sep) or os.path.isdir(path)
+
+
 def load_or_search(k: int, cfg: RunConfig) -> tuple[list, str]:
     """Return (pairs, source) honoring the cache unless --no-cache was given;
     a size outside KNOWN_SEARCH_SIZES needs --allow-unverified."""
@@ -119,7 +124,7 @@ def load_or_search(k: int, cfg: RunConfig) -> tuple[list, str]:
             f"k = {k} is outside the verified sizes {KNOWN_SEARCH_SIZES}; "
             "pass --allow-unverified to search anyway")
     path = cfg.cache_path or os.path.join("cache", f"conference-{k}.json")
-    if cfg.cache_path and os.path.isdir(cfg.cache_path):
+    if cfg.cache_path and _names_directory(cfg.cache_path):
         # a directory holds one file per size, so multi-size commands work too
         path = os.path.join(cfg.cache_path, f"conference-{k}.json")
     if not cfg.no_cache and os.path.exists(path):
@@ -263,6 +268,9 @@ def _cosine_surd(k: int, n: int) -> SurdValue:
 
 
 def table1_rows(cfg: RunConfig) -> list:
+    if cfg.cache_path and not _names_directory(cfg.cache_path):
+        raise UsageError(f"table1 reads pairs of several orders, so --cache must name a directory "
+                         f"(an existing one, or a path ending in {os.sep!r}), not {cfg.cache_path!r}")
     rows = []
     for family, k, n, selector in TABLE1_FAMILIES:
         report = analyze_selector(selector, cfg) if selector else {}
@@ -748,7 +756,8 @@ class Command(NamedTuple):
 
 _CACHE_FLAGS = (
     ("--cache", {"dest": "cache_path",
-                 "help": "conference-pair cache file (default cache/conference-<k>.json)"}),
+                 "help": "conference-pair cache file, or a directory of conference-<k>.json "
+                         "files (default cache/conference-<k>.json)"}),
     ("--no-cache", {"action": "store_true", "help": "neither read nor write the pair cache"}),
 )
 _UNVERIFIED_FLAG = (

@@ -4,8 +4,10 @@ Everything here is over the rationals (``int`` or ``fractions.Fraction``
 entries) or quadratic surds, and every result is exact.  Matrices are plain
 lists of rows; all functions treat their inputs as immutable and return fresh
 objects.  Determinant, rank, pivot columns and linear solves share one
-fraction-free (Bareiss) Gauss-Jordan elimination on integer rows, and
-``ldl_decompose`` is a forward Bareiss pass on a matrix scaled to integers.
+forward fraction-free (Bareiss) elimination on integer rows, with
+fraction-free back-substitution for solves, and ``ldl_decompose`` is a
+forward Bareiss pass without pivoting on a symmetric matrix scaled to
+integers.
 Floating point appears only in ``SurdValue.__float__``, for printing.
 """
 
@@ -80,14 +82,16 @@ class _Elimination(NamedTuple):
 
 
 def _eliminate(m: Sequence[Sequence[Rational]]) -> _Elimination:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of a rational matrix.
+    """Forward fraction-free (Bareiss) elimination of a rational matrix.
 
     Each row is scaled once by the lcm of its denominators; from then on every
     entry is an integer minor of the scaled matrix, so the update
     (p·x - f·y) / prev divides exactly.  Pivots are taken leftmost first: a
     column is a pivot exactly when it is independent of the columns to its
-    left.  At the end each pivot row holds the last pivot in its own pivot
-    column and zero in every other pivot column.
+    left.  A pivot updates only the rows below it and only from its own column
+    on, since everything left of it there is already zero.  At the end the
+    rows are in echelon form, and row i's pivot entry is the (i+1)-th leading
+    minor of the row-permuted, row-scaled matrix on its pivot columns.
     """
     scaled = [clear_denominators([row]) for row in m]
     scale = prod(d for d, _ in scaled)
@@ -106,13 +110,13 @@ def _eliminate(m: Sequence[Sequence[Rational]]) -> _Elimination:
         if found != r:
             rows[r], rows[found] = rows[found], rows[r]
             sign = -sign
-        top = rows[r]
-        p = top[col]
-        for i, row in enumerate(rows):
+        tail = rows[r][col:]
+        p = tail[0]
+        for row in rows[r + 1:]:
             f = row[col]
-            if i == r or (f == 0 and p == prev):
+            if f == 0 and p == prev:
                 continue  # an update with f = 0 and p = prev is the identity
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
         pivots.append(col)
         prev = p
     return _Elimination(rows, pivots, sign, prev, scale)
@@ -122,7 +126,11 @@ def determinant_and_solution(a: Mat, b: Mat) -> tuple[Fraction, Mat | None]:
     """det A and the solution Y of A·Y = B from one elimination of [A | B].
 
     det A = sign · last pivot / row scale, where the scale also covers B's
-    denominators; (0, None) when A is singular.
+    denominators; (0, None) when A is singular.  Otherwise the echelon rows
+    [U | B'] give X = last·Y by fraction-free back-substitution,
+    X_i = (last·B'_i - Σ_{j>i} u_ij·X_j) / u_ii, where every division is exact
+    because last·Y is Cramer's integer numerator (Nakos, Turner & Williams,
+    SIGSAM Bull. 31, 1997).
     """
     _require_square(a)
     k = len(a)
@@ -131,7 +139,15 @@ def determinant_and_solution(a: Mat, b: Mat) -> tuple[Fraction, Mat | None]:
     e = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)])
     if e.pivots[:k] != list(range(k)):
         return Fraction(0), None
-    return Fraction(e.sign * e.last, e.scale), [[Fraction(v, e.last) for v in row[k:]] for row in e.rows]
+    x: list[list[int]] = [[]] * k
+    for i in reversed(range(k)):
+        row = e.rows[i]
+        acc = [e.last * v for v in row[k:]]
+        for u, xj in zip(row[i + 1:k], x[i + 1:]):
+            if u:
+                acc = [s - u * v for s, v in zip(acc, xj)]
+        x[i] = [s // row[i] for s in acc]
+    return Fraction(e.sign * e.last, e.scale), [[Fraction(v, e.last) for v in xi] for xi in x]
 
 
 def bareiss_determinant(m: Mat) -> Fraction:

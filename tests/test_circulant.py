@@ -195,6 +195,20 @@ def test_brute_force_convolves_each_half_row_once(monkeypatch):
     assert calls == 2 ** 6 + 2 ** 7
 
 
+def test_search_keys_half_the_rows(monkeypatch):
+    # a row and its negation share a key, so only the rows with first sign -1 are keyed
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return autocorrelation_key(*args)
+
+    monkeypatch.setattr(circulant, "autocorrelation_key", counting)
+    assert search_conference_pairs(13) == per_tuple_search(13)
+    assert calls == 2 ** 5 + 2 ** 6
+
+
 def packed(row):
     """Σ row_j·2^(16j), the documented encoding of the search keys."""
     return sum(v << (16 * j) for j, v in enumerate(row))

@@ -154,6 +154,30 @@ def test_cache_directory_option(workdir, capsys):
     assert (cachedir / "conference-13.json").exists()
 
 
+def test_table1_cache_file_is_a_usage_error(workdir, capsys):
+    # table1 reads three orders, which one file cannot hold: nothing is read or written
+    target = workdir / "t1.json"
+    code, out, err = run(capsys, "table1", "--cache", str(target))
+    assert code == 2
+    assert out == ""
+    assert "--cache must name a directory" in err
+    assert not target.exists()
+    target.write_text("kept")
+    code, _, _ = run(capsys, "table1", "--cache", str(target))
+    assert code == 2
+    assert target.read_text() == "kept"
+
+
+def test_cache_path_with_trailing_separator_is_a_new_directory(workdir, capsys):
+    cachedir = workdir / "fresh" / "pairs"
+    code, _, err = run(capsys, "search", "5", "--cache", str(cachedir) + os.sep, "--format", "json")
+    assert code == 0, err
+    assert (cachedir / "conference-5.json").exists()
+    code, out, _ = run(capsys, "search", "5", "--cache", str(cachedir) + os.sep, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["source"] == "cache"
+
+
 def test_analyze_simplex_9(capsys):
     code, out, _ = run(capsys, "analyze", "simplex:9", "--format", "json")
     assert code == 0

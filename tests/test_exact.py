@@ -127,6 +127,11 @@ def test_rank_matches_minor_oracle():
         else:
             m = random_mixed_matrix(rng, rows, cols)
         assert matrix_rank(m) == minor_rank(m), m
+    # wide, shaped like a perfection matrix: a few rows, k(k+1)/2 columns
+    for k in (3, 4):
+        for inner in range(1, 5):
+            m = mat_mul(random_mixed_matrix(rng, 4, inner), random_mixed_matrix(rng, inner, k * (k + 1) // 2))
+            assert matrix_rank(m) == minor_rank(m), m
 
 
 def test_pivot_columns_are_leftmost_independent():
@@ -181,13 +186,16 @@ def test_determinant_and_solution_match_cofactor_and_substitution():
     # B's denominators (17, 19, 23) share nothing with A's (at most 12), so a
     # row scale that left them out would give a wrong determinant
     rng = random.Random(2718)
-    singular = 0
+    singular = swapped = 0
     for trial in range(150):
-        k = rng.randint(1, 4)
+        k = rng.randint(1, 6)
         a = random_matrix(rng, k, k)
         if trial % 3 == 0:  # a multiple of the first row makes A singular
             c = F(rng.randint(-3, 3), rng.randint(1, 4))
             a[-1] = [c * v for v in a[0]]
+        elif trial % 3 == 1 and k > 1:  # a zero (1,1) entry forces a row swap
+            a[0][0] = F(0)
+            swapped += 1
         width = rng.randint(0, 3)
         b = [[F(rng.randint(-30, 30), rng.choice((17, 19, 23))) for _ in range(width)]
              for _ in range(k)]
@@ -198,7 +206,24 @@ def test_determinant_and_solution_match_cofactor_and_substitution():
             assert y is None
         else:
             assert mat_mul(a, y) == b
-    assert singular >= 40
+    assert singular >= 40 and swapped >= 30
+
+
+def test_elimination_pivots_are_leading_minors():
+    # the forward pass leaves the (i+1)-th leading minor on row i's diagonal
+    rng = random.Random(1968)
+    checked = 0
+    while checked < 60:
+        k = rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        minors = [cofactor_determinant([row[:i + 1] for row in m[:i + 1]]) for i in range(k)]
+        if 0 in minors:
+            continue
+        e = exact._eliminate(m)
+        assert e.pivots == list(range(k)) and e.sign == 1
+        assert [e.rows[i][i] for i in range(k)] == minors
+        assert all(e.rows[i][j] == 0 for i in range(k) for j in range(i))
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
