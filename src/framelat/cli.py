@@ -7,6 +7,10 @@ matrix, and the shrinking-vector demonstration that the icosahedral frame
 spans no lattice.  Each command builds one record, its JSON document, and
 ``render`` prints that as JSON, as the command's CSV table, or through its text
 template.  A command accepts only the flags it reads (see ``COMMANDS``).
+The verification matrix's frame-family checks assert on the same
+``lattice_report`` record that ``analyze`` prints, against one closed-form
+profile of a lattice whose minimal vectors are exactly +- the frame
+(``_frame_minimal``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cache error.
 """
@@ -401,24 +405,36 @@ def _check_alpha_gate():
     return True, "irrational alpha for (3,6),(7,14),(9,18); rational for the 5 lattice families"
 
 
+def _frame_minimal(k: int, n: int, volume: SurdValue) -> dict:
+    """The analyze fields of a (k, n) frame lattice whose minimal vectors are
+    exactly +- the frame: 2n vectors at norm 1 holding a basis, strongly
+    eutactic with Parseval constant 2n/k (a unit tight frame), perfection rank
+    n, perfect exactly when n = k(k+1)/2."""
+    return {
+        "detSurd": _surd_obj(volume),
+        "minNormSq": "1",
+        "minVecCountWithSigns": 2 * n,
+        "framesAreMinimal": True,
+        "basisOfMinimalVectors": True,
+        "eutactic": True,
+        "parsevalConstant": _fr(Fraction(2 * n, k)),
+        "perfectionRank": n,
+        "perfect": n == k * (k + 1) // 2,
+    }
+
+
+def _mismatch(record: dict, want: dict) -> str:
+    """The fields where the record differs from want, or "" when none does."""
+    return "; ".join(f"{key} = {record[key]}, expected {val}"
+                     for key, val in want.items() if record[key] != val)
+
+
 def _check_simplex():
     for k in range(2, 13):
         _, cf = frames.simplex_frame(k)
-        model = lattice.lattice_model(cf)
-        want = Fraction(1, k + 1) * Fraction(k + 1, k) ** k
-        if bareiss_determinant(model.gram) != want:
-            return False, f"k={k}: determinant formula violated"
-        rep = lattice.minimal_vectors(model)
-        if rep.min_norm_sq != 1 or rep.count_with_signs != 2 * (k + 1):
-            return False, f"k={k}: expected 2(k+1) signed minimal vectors at norm 1"
-        if not lattice.frame_vectors_are_minimal(model, rep):
-            return False, f"k={k}: minimal vectors differ from the frame"
-        eu = geometry.strong_eutaxy_check(model, rep)
-        pf = geometry.perfection_rank(model, rep)
-        if not eu.is_strongly_eutactic or pf.rank != k + 1:
-            return False, f"k={k}: eutaxy/perfection-rank mismatch"
-        if pf.is_perfect != (k == 2):
-            return False, f"k={k}: perfection verdict off (k=2 alone is perfect)"
+        volume = sqrt_rational(Fraction(1, k + 1) * Fraction(k + 1, k) ** k)
+        if bad := _mismatch(lattice_report(f"simplex:{k}", cf), _frame_minimal(k, k + 1, volume)):
+            return False, f"k={k}: {bad}"
     return True, "k = 2..12: determinant formula, 2(k+1) minimal = frame, eutactic, rank k+1"
 
 
@@ -440,25 +456,22 @@ def _check_search_counts(cfg):
 def _check_5_10():
     pairs = circulant.search_conference_pairs(5)
     expected_n = [(1, 0, -1, -1, 0), (-1, 0, 1, 1, 0), (1, -1, 0, 0, -1), (-1, 1, 0, 0, 1)]
-    for p, want in zip(pairs, expected_n):
+    for p, n_want in zip(pairs, expected_n):
         n_row = tuple(int(v) for v in frames.conference_data(p).n_row)
-        if n_row != want:
-            return False, f"N first row {n_row} != {want}"
+        if n_row != n_want:
+            return False, f"N first row {n_row} != {n_want}"
         facts = _pair_facts(p)
         if abs(facts["detD"]) != 48 or facts["detAlphaPlusA"] != 48:
             return False, "det D = +-48 / det(3I+A) = 48 violated"
         if not facts["nIntegral"] or not facts["nInverseIntegral"]:
             return False, "N and N^-1 should both be integral at k = 5"
+    want = _frame_minimal(5, 10, SurdValue(Fraction(4, 9), 1))
     grams = []
-    for p in pairs:
+    for i, p in enumerate(pairs):
         _, cf = frames.conference_frame(p, "plus")
-        model = lattice.lattice_model(cf)
-        grams.append(model.gram)
-        if lattice.lattice_determinant(model) != SurdValue(Fraction(4, 9), 1):
-            return False, "lattice determinant != 4/9"
-        rep = lattice.minimal_vectors(model)
-        if rep.count_with_signs != 20 or not lattice.frame_vectors_are_minimal(model, rep):
-            return False, "expected 20 signed minimal vectors equal to the frame"
+        grams.append(lattice.lattice_model(cf).gram)
+        if bad := _mismatch(lattice_report(f"conference:5:{i}:plus", cf), want):
+            return False, f"pair {i}: {bad}"
     if lattice.scalar_orthogonal_equivalence(grams[0], grams[2]) is not None:
         return False, "B1 and B3 Grams unexpectedly equivalent"
     return True, "N rows, det D = +-48, det(3I+A) = 48, volume 4/9, B1 !~ B3"
@@ -479,16 +492,12 @@ def _check_13_26():
             return False, "det(5I+-A) != 2560000 on the integral side"
     if sum(n_int) != 6 or sum(inv_int) != 6 or any(a and b for a, b in zip(n_int, inv_int)):
         return False, "expected a clean 6 / 6 split of N vs N^-1 integrality"
+    want = _frame_minimal(13, 26, SurdValue(Fraction(64, 3125), 5))
     for i, p in enumerate(pairs):
         _, cf = frames.conference_frame(p, frames.preferred_variant(p))
-        model = lattice.lattice_model(cf)
-        grams.append(model.gram)
-        det = lattice.lattice_determinant(model)
-        if det != SurdValue(Fraction(64, 3125), 5) or abs(float(det) - 0.0458) > 1e-4:
-            return False, f"pair {i}: determinant surd mismatch"
-        rep = lattice.minimal_vectors(model)
-        if rep.count_with_signs != 52 or not lattice.frame_vectors_are_minimal(model, rep):
-            return False, f"pair {i}: expected 52 signed minimal vectors equal to the frame"
+        grams.append(lattice.lattice_model(cf).gram)
+        if bad := _mismatch(lattice_report(f"conference:13:{i}", cf), want):
+            return False, f"pair {i}: {bad}"
     classes = lattice.equivalence_classes(grams)
     if classes != [[0, 1, 10, 11], [2, 3, 8, 9], [4, 5, 6, 7]]:
         return False, f"equivalence classes {classes} differ from the expected three"
@@ -529,11 +538,11 @@ def _check_25_50_lattice(cfg):
         facts = _pair_facts(p)
         if not (facts["nIntegral"] and facts["nInverseIntegral"]):
             return False, "N and N^-1 should both be integral at k = 25"
-    grams = [frames.basis_gram(frames.conference_frame(p, "plus")[1]) for p in ordered[:10]]
-    det = lattice.lattice_determinant(lattice.LatticeModel(k=25, gram=grams[0]))
-    if abs(float(det) - 0.00071052) > 1e-8:
-        return False, f"determinant decimal {float(det)} != 0.00071052 within 1e-8"
-    classes = lattice.equivalence_classes(grams)
+    models = [lattice.lattice_model(frames.conference_frame(p, "plus")[1]) for p in ordered[:10]]
+    det = float(lattice.lattice_determinant(models[0]))
+    if abs(det - 0.00071052) > 1e-8:
+        return False, f"determinant decimal {det} != 0.00071052 within 1e-8"
+    classes = lattice.equivalence_classes([m.gram for m in models])
     if classes != [[i] for i in range(10)]:
         return False, f"expected 10 singleton classes, got {classes}"
     return True, "B_j = B_(j+10) pairing, determinant decimal, 10 singleton classes"
@@ -541,42 +550,30 @@ def _check_25_50_lattice(cfg):
 
 def _check_6_16():
     _, cf = frames.frame_6_16()
-    if tuple(cf.basis_indices) != (1, 2, 3, 4, 5, 9) or cf.beta != 1:
-        return False, "expected integer coordinates over basis {1,2,3,4,5,9}"
-    model = lattice.lattice_model(cf)
-    if bareiss_determinant(model.gram) != Fraction(2**6, 3**6):
-        return False, "det(B'B) != 2^6/3^6"
-    rep = lattice.minimal_vectors(model)
-    if rep.count_with_signs != 32 or not lattice.frame_vectors_are_minimal(model, rep):
-        return False, "expected 32 signed minimal vectors equal to the frame"
-    if not lattice.has_basis_of_minimal_vectors(model, rep):
-        return False, "minimal vectors should contain a basis"
+    if tuple(cf.basis_indices) != (1, 2, 3, 4, 5, 9):
+        return False, "expected the basis {1,2,3,4,5,9}"
+    # det(B'B) = 2^6/3^6; beta = 1 means integer coordinates over that basis
+    want = {"beta": 1, **_frame_minimal(6, 16, SurdValue(Fraction(8, 27), 1))}
+    if bad := _mismatch(lattice_report("explicit:6x16", cf), want):
+        return False, bad
     return True, "integer basis, det 2^6/3^6, 32 minimal = frame, basis of minimal vectors"
 
 
 def _check_7_28():
     _, cf = frames.frame_7_28()
-    model = lattice.lattice_model(cf)
-    if bareiss_determinant(model.gram) != Fraction(2**6, 3**7):
-        return False, "det(B'B) != 2^6/3^7"
-    rep = lattice.minimal_vectors(model)
-    if rep.count_with_signs != 56 or not lattice.frame_vectors_are_minimal(model, rep):
-        return False, "expected 56 signed minimal vectors equal to the frame"
-    eu = geometry.strong_eutaxy_check(model, rep)
-    pf = geometry.perfection_rank(model, rep)
-    if not eu.is_strongly_eutactic or pf.rank != 28 or not pf.is_perfect:
-        return False, "strong eutaxy + perfection rank 28 expected"
-    if geometry.perfection_certificate_det_7_28() != 3 * 2**159:
-        return False, "certificate determinant != 3*2^159"
+    record = lattice_report("explicit:7x28", cf)
+    # det(B'B) = 2^6/3^7
+    want = {**_frame_minimal(7, 28, SurdValue(Fraction(8, 81), 3)), "detD": 3 * 2**159}
+    if bad := _mismatch(record, want):
+        return False, bad
     cert = geometry.perfection_certificate_matrix_7_28()
     first_col = [cert[r][0] for r in range(14)]
     if first_col != [0, 0, 0, 0, 0, 0, 0, 49, 42, 35, 28, 21, 14, 36]:
         return False, "certificate matrix first column off"
     if cert[0] != [0] + [16] * 12 + [0] * 15:
         return False, "certificate matrix first row off"
-    dens = lattice.packing_density(model, rep)
-    if abs(dens - 0.2157) > 1e-4:
-        return False, f"density {dens} != 0.2157 within 1e-4"
+    if abs(record["density"] - 0.2157) > 1e-4:
+        return False, f"density {record['density']} != 0.2157 within 1e-4"
     return True, "det 2^6/3^7, 56 minimal = frame, eutactic, perfect, certificate det, density"
 
 

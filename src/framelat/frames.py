@@ -86,7 +86,7 @@ class CoordinateFrame:
     @functools.cached_property
     def beta(self) -> int:
         """lcm of the coordinate denominators."""
-        return math.lcm(*(F(v).denominator for row in self.coords for v in row))
+        return math.lcm(*(v.denominator for row in self.coords for v in row))
 
 
 @dataclass(frozen=True)
@@ -121,25 +121,18 @@ def basis_gram(cf: CoordinateFrame) -> Mat:
     return _gram(cf.frame, [b - 1 for b in cf.basis_indices])
 
 
-def coordinate_matrix(cf: CoordinateFrame) -> Mat:
-    """k x n matrix whose columns are the basis coordinates of every frame vector."""
-    k, n = cf.frame.k, cf.frame.n
+def coordinate_columns(cf: CoordinateFrame) -> Mat:
+    """The basis coordinates of every frame vector, one column per vector, in frame order."""
     basis = {b - 1: t for t, b in enumerate(cf.basis_indices)}
     others = iter(transpose(cf.coords))  # columns of X, in frame order
-    cols = []
-    for j in range(n):
-        if j in basis:
-            cols.append([F(1) if i == basis[j] else F(0) for i in range(k)])
-        else:
-            cols.append([F(v) for v in next(others)])
-    return transpose(cols)
+    return [[int(i == basis[j]) for i in range(cf.frame.k)] if j in basis else next(others)
+            for j in range(cf.frame.n)]
 
 
 def gram_consistency_holds(cf: CoordinateFrame) -> bool:
     """Exact check of P'·Q·P = I + (1/alpha)·C over all column pairs."""
-    p = coordinate_matrix(cf)
-    q = basis_gram(cf)
-    return mat_mul(transpose(p), mat_mul(q, p)) == full_gram(cf.frame)
+    cols = coordinate_columns(cf)
+    return mat_mul(cols, mat_mul(basis_gram(cf), transpose(cols))) == full_gram(cf.frame)
 
 
 def select_basis_greedy(gram: Mat, k: int) -> tuple:
@@ -185,7 +178,7 @@ def conference_frame_spec(p: ConferencePair) -> FrameSpec:
 
 
 def is_integral(row) -> bool:
-    return all(F(v).denominator == 1 for v in row)
+    return all(v.denominator == 1 for v in row)
 
 
 class ConferenceData(NamedTuple):
@@ -241,7 +234,7 @@ def conference_frame(p: ConferencePair, variant: str) -> tuple[FrameSpec, Coordi
         row, basis = data.n_row, tuple(range(1, k + 1))
     else:
         row, basis = data.n_inv_row, tuple(range(k + 1, 2 * k + 1))
-    x = [[-v for v in r] for r in circulant_matrix(row)]
+    x = circulant_matrix([-v for v in row])
     return spec, CoordinateFrame(frame=spec, basis_indices=basis, coords=x)
 
 

@@ -30,9 +30,8 @@ from .exact import (
     ldl_decompose,
     mat_inverse,
     sqrt_rational,
-    transpose,
 )
-from .frames import CoordinateFrame, basis_gram, coordinate_matrix, frame_alpha
+from .frames import CoordinateFrame, basis_gram, coordinate_columns, frame_alpha
 
 F = Fraction
 
@@ -174,14 +173,13 @@ def _canonical(v) -> tuple:
 def frame_coordinate_columns(cf: CoordinateFrame):
     """Coordinates of all n frame vectors over the basis, if integral.
 
-    Returns the canonical +-representatives of the columns of the coordinate
-    matrix, in frame order, or None when some frame vector has a non-integer
+    Returns the canonical +-representatives of ``coordinate_columns(cf)``, in
+    frame order, or None when some frame vector has a non-integer
     coordinate and therefore is not a lattice point of the basis lattice.
     """
-    cols = transpose(coordinate_matrix(cf))
-    if any(v.denominator != 1 for col in cols for v in col):
+    if cf.beta != 1:
         return None
-    return [_canonical([int(v) for v in col]) for col in cols]
+    return [_canonical([int(v) for v in col]) for col in coordinate_columns(cf)]
 
 
 def frame_vectors_are_minimal(model: LatticeModel, report: MinVecReport) -> bool:
@@ -269,20 +267,10 @@ def scalar_orthogonal_equivalence(q1: Mat, q2: Mat):
     k = len(q1)
     if len(q2) != k or any(len(r) != k for r in q1) or any(len(r) != k for r in q2):
         raise SizeMismatchError("grams differ in size")
-    ratio = None
-    for i in range(k):
-        for j in range(k):
-            if q2[i][j] != 0:
-                ratio = F(q1[i][j]) / F(q2[i][j])
-                break
-        if ratio is not None:
-            break
-    if ratio is None or ratio <= 0:
+    pairs = [(a, b) for r1, r2 in zip(q1, q2) for a, b in zip(r1, r2)]
+    ratio = next((F(a) / b for a, b in pairs if b != 0), None)
+    if ratio is None or ratio <= 0 or any(a != ratio * b for a, b in pairs):
         return None
-    for i in range(k):
-        for j in range(k):
-            if F(q1[i][j]) != ratio * F(q2[i][j]):
-                return None
     return ratio
 
 

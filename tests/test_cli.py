@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import framelat
-from framelat import circulant, cli
+from framelat import circulant, cli, geometry
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -341,6 +342,22 @@ def test_verify_all_reports_the_one_known_failure(capsys):
     failing = [c["label"] for c in doc["checks"] if not c["ok"]]
     assert failing == ["25x50-det-factorization"]
     assert "2^24*7^9" in doc["checks"][5]["detail"]
+
+
+def test_family_checks_assert_on_the_analyze_record(monkeypatch):
+    # each family check compares the lattice_report record that analyze prints,
+    # so one wrong field there fails all five
+    real = geometry.perfection_rank
+
+    def one_short(model, rep):
+        pf = real(model, rep)
+        return dataclasses.replace(pf, rank=pf.rank - 1)
+
+    monkeypatch.setattr(geometry, "perfection_rank", one_short)
+    checks = dict(cli.verification_checks(cli.RunConfig()))
+    for label in ("simplex", "5x10", "13x26", "6x16", "7x28"):
+        ok, detail = checks[label]()
+        assert not ok and "perfectionRank" in detail, (label, detail)
 
 
 def test_verify_all_skip_unlocks_a_clean_exit(capsys):
