@@ -4,9 +4,12 @@ A symmetric circulant is determined by its palindromic first row, so everything
 here works on rows.  Only ``circulant_solve`` (det circ(row) and quotients by
 it, one elimination) and ``circulant_determinant`` materialize a dense matrix
 for arithmetic; inverses and ``compute_N`` are one such solve each.  The search
-enumerates sign patterns for a pair of circulants (A, D) with A having a zero
-leading entry, looking for a*a + d*d = (2k-1)e0 under cyclic convolution —
-equivalently C^2 = (2k-1)I for the block matrix C = [[A, D], [D, -A]].
+enumerates sign patterns for a pair of circulants (A, D) of odd order k with A
+having a zero leading entry, looking for a*a + d*d = (2k-1)e0 under cyclic
+convolution — equivalently C^2 = (2k-1)I for the block matrix
+C = [[A, D], [D, -A]].  A symmetric conference matrix has order 2 mod 4, so
+even k has no pairs and the search refuses it.  The pair cache holds the
+search's list in the search's order, and loading checks that order.
 
 The default search never convolves rows.  It keys each candidate row a by the
 integer Σ_j (a*a)_j·B^j with B = 2^16 (Kronecker substitution).  A palindromic
@@ -101,15 +104,10 @@ def is_conference(p: ConferencePair) -> bool:
 
 
 def _sign_slots(k: int) -> list[tuple]:
-    """Row positions filled by each free sign of a palindromic row after its head.
-
-    Sign i fills positions i and k - i for 1 <= i <= (k-1)/2; even k has a
-    self-mirrored middle position k/2 that takes one extra sign.
-    """
-    slots = [(i, k - i) for i in range(1, (k - 1) // 2 + 1)]
-    if k % 2 == 0:
-        slots.append((k // 2,))
-    return slots
+    """Row positions filled by each free sign of a palindromic row of odd
+    length k after its head: sign i fills positions i and k - i for
+    1 <= i <= (k-1)/2."""
+    return [(i, k - i) for i in range(1, (k + 1) // 2)]
 
 
 def _palindromic_row(k: int, head, signs) -> Row:
@@ -161,7 +159,8 @@ def _negated(signs: tuple) -> tuple:
 
 
 def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[ConferencePair]:
-    """All conference pairs over the palindromic sign parameterization.
+    """All conference pairs of odd order k >= 3 over the palindromic sign
+    parameterization.
 
     Results come in lexicographic order of the combined sign tuple
     (aRow signs, then dRow head and body) with -1 ordered before +1, which
@@ -178,8 +177,8 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
     combinations by adding the two stored autocorrelations entry by entry
     (auditing aid, independent of the keys; identical output, order included).
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    if k < 3 or k % 2 == 0:
+        raise ValueError("k must be odd and at least 3")
     na, nd = free_sign_counts(k)
 
     if brute_force:
@@ -271,7 +270,8 @@ def save_pairs(path: str, k: int, pairs: list[ConferencePair]) -> None:
 
 def load_pairs(path: str, k: int) -> list[ConferencePair]:
     """Read the pair cache for order k, re-validating every entry against the
-    conference condition; a header for another order is a corrupt cache."""
+    conference condition; a header for another order, or pairs repeated or
+    out of the search's order (which numbers them), is a corrupt cache."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -292,4 +292,7 @@ def load_pairs(path: str, k: int) -> list[ConferencePair]:
         raise
     except (TypeError, KeyError, ValueError) as exc:
         raise CacheCorruptError(f"bad pair entry in {path}: {exc}") from exc
+    keys = [p.a_row[1:(k + 1) // 2] + p.d_row[:(k + 1) // 2] for p in pairs]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise CacheCorruptError(f"pairs repeated or out of search order in {path}")
     return pairs

@@ -147,7 +147,7 @@ def _pair_facts(p: ConferencePair) -> dict:
         "detAlphaPlusA": data.det_plus,
         "detAlphaMinusA": data.det_minus,
         "nIntegral": frames.is_integral(data.n_row),
-        "nInverseIntegral": data.n_inv_row is not None and frames.is_integral(data.n_inv_row),
+        "nInverseIntegral": frames.is_integral(data.n_inv_row),
     }
 
 
@@ -161,8 +161,8 @@ def lattice_report(label: str, cf) -> dict:
     model = lattice.lattice_model(cf)
     det = lattice.lattice_determinant(model)
     rep = lattice.minimal_vectors(model)
-    eu = geometry.strong_eutaxy_check(model, rep)
-    pf = geometry.perfection_rank(model, rep)
+    parseval = geometry.strong_eutaxy_check(model, rep)
+    rank = geometry.perfection_rank(model, rep)
     out = {
         "k": model.k,
         "n": cf.frame.n,
@@ -172,14 +172,14 @@ def lattice_report(label: str, cf) -> dict:
         "detSurd": _surd_obj(det),
         "detFloat": float(det),
         "minNormSq": _fr(rep.min_norm_sq),
-        "minVecCountWithSigns": rep.count_with_signs,
+        "minVecCountWithSigns": 2 * len(rep.vectors),
         "framesAreMinimal": lattice.frame_vectors_are_minimal(model, rep),
         "basisOfMinimalVectors": lattice.has_basis_of_minimal_vectors(model, rep),
         "density": lattice.packing_density(model, rep),
-        "eutactic": eu.is_strongly_eutactic,
-        "parsevalConstant": _fr(eu.parseval_constant) if eu.parseval_constant is not None else None,
-        "perfectionRank": pf.rank,
-        "perfect": pf.is_perfect,
+        "eutactic": parseval is not None,
+        "parsevalConstant": None if parseval is None else _fr(parseval),
+        "perfectionRank": rank,
+        "perfect": rank == model.k * (model.k + 1) // 2,
     }
     if label == "explicit:7x28":
         out["detD"] = geometry.perfection_certificate_det_7_28()
@@ -457,9 +457,10 @@ def _check_5_10():
     pairs = circulant.search_conference_pairs(5)
     expected_n = [(1, 0, -1, -1, 0), (-1, 0, 1, 1, 0), (1, -1, 0, 0, -1), (-1, 1, 0, 0, 1)]
     for p, n_want in zip(pairs, expected_n):
-        n_row = tuple(int(v) for v in frames.conference_data(p).n_row)
-        if n_row != n_want:
-            return False, f"N first row {n_row} != {n_want}"
+        # two formulas for N: D^-1(A - 3I) in conference_data, -(3I + A)^-1 D in compute_N
+        for n_row in (frames.conference_data(p).n_row, circulant.compute_N(p, 3)):
+            if n_row != n_want:
+                return False, f"N first row ({', '.join(map(_fr, n_row))}) != {n_want}"
         facts = _pair_facts(p)
         if abs(facts["detD"]) != 48 or facts["detAlphaPlusA"] != 48:
             return False, "det D = +-48 / det(3I+A) = 48 violated"

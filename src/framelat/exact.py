@@ -3,11 +3,11 @@
 Everything here is over the rationals (``int`` or ``fractions.Fraction``
 entries) or quadratic surds, and every result is exact.  Matrices are plain
 lists of rows; all functions treat their inputs as immutable and return fresh
-objects.  Determinant, rank, pivot columns and linear solves share one
-forward fraction-free (Bareiss) elimination on integer rows, with
-fraction-free back-substitution for solves, and ``ldl_decompose`` is a
-forward Bareiss pass without pivoting on a symmetric matrix scaled to
-integers.
+objects.  Determinant, rank, pivot columns, linear solves and the LDL'
+decomposition share one forward fraction-free (Bareiss) elimination on the
+input scaled once to integers, with fraction-free back-substitution for
+solves.  LDL' is that same elimination of a symmetric matrix, required to
+make no row swap.
 Floating point appears only in ``SurdValue.__float__``, for printing.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from typing import NamedTuple, Sequence
 
 Mat = list[list[Fraction]]
@@ -28,7 +28,7 @@ class SingularMatrixError(ArithmeticError):
 
 
 class PivotBreakdownError(ArithmeticError):
-    """Raised by ldl_decompose when a zero pivot occurs (matrix not definite)."""
+    """Raised by ldl_decompose when a leading minor is zero (matrix not definite)."""
 
 
 class NegativeRadicandError(ArithmeticError):
@@ -70,46 +70,44 @@ def _require_square(m: Mat) -> None:
 
 
 # ---------------------------------------------------------------------------
-# determinant, rank, solve: one fraction-free elimination
+# determinant, rank, solve, LDL': one fraction-free elimination
 # ---------------------------------------------------------------------------
 
 class _Elimination(NamedTuple):
-    rows: list[list[int]]  # the reduced integer rows
+    rows: list[list[int]]  # the reduced rows
     pivots: list[int]  # pivot columns, left to right
-    sign: int  # sign of the row permutation
+    swaps: int  # number of row swaps
     last: int  # last pivot (1 when there is none)
-    scale: int  # product of the row scale factors
 
 
-def _eliminate(m: Sequence[Sequence[Rational]]) -> _Elimination:
-    """Forward fraction-free (Bareiss) elimination of a rational matrix.
+def _eliminate(rows: list[list[int]]) -> _Elimination:
+    """Forward fraction-free (Bareiss) elimination of integer rows, in place.
 
-    Each row is scaled once by the lcm of its denominators; from then on every
-    entry is an integer minor of the scaled matrix, so the update
-    (p·x - f·y) / prev divides exactly.  Pivots are taken leftmost first: a
-    column is a pivot exactly when it is independent of the columns to its
-    left.  A pivot updates only the rows below it and only from its own column
-    on, since everything left of it there is already zero.  At the end the
-    rows are in echelon form, and row i's pivot entry is the (i+1)-th leading
-    minor of the row-permuted, row-scaled matrix on its pivot columns.
+    Callers clear a rational matrix's denominators first.  Every entry stays
+    an integer minor of the input, so the update (p·x - f·y) / prev divides
+    exactly.  Pivots are taken leftmost first: a column is a pivot exactly
+    when it is independent of the columns to its left.  A pivot updates only
+    the rows below it and only from its own column on, since everything left
+    of it there is already zero.  At the end the rows are in echelon form, and
+    row i's pivot entry is the (i+1)-th leading minor of the row-permuted
+    input on its pivot columns.
     """
-    scaled = [clear_denominators([row]) for row in m]
-    scale = prod(d for d, _ in scaled)
-    rows = [r for _, (r,) in scaled]
     height = len(rows)
     pivots: list[int] = []
-    sign = 1
+    swaps = 0
     prev = 1
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         if r == height:
             break
-        found = next((i for i in range(r, height) if rows[i][col]), None)
+        # the pivot is usually in place; otherwise take the first nonzero below
+        found = r if rows[r][col] else next(
+            (i for i in range(r + 1, height) if rows[i][col]), None)
         if found is None:
             continue
         if found != r:
             rows[r], rows[found] = rows[found], rows[r]
-            sign = -sign
+            swaps += 1
         tail = rows[r][col:]
         p = tail[0]
         for row in rows[r + 1:]:
@@ -119,15 +117,15 @@ def _eliminate(m: Sequence[Sequence[Rational]]) -> _Elimination:
             row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
         pivots.append(col)
         prev = p
-    return _Elimination(rows, pivots, sign, prev, scale)
+    return _Elimination(rows, pivots, swaps, prev)
 
 
 def determinant_and_solution(a: Mat, b: Mat) -> tuple[Fraction, Mat | None]:
     """det A and the solution Y of A·Y = B from one elimination of [A | B].
 
-    det A = sign · last pivot / row scale, where the scale also covers B's
-    denominators; (0, None) when A is singular.  Otherwise the echelon rows
-    [U | B'] give X = last·Y by fraction-free back-substitution,
+    det A = (-1)^swaps · last pivot / scale^k, where scale clears the
+    denominators of A and B; (0, None) when A is singular.  Otherwise the
+    echelon rows [U | B'] give X = last·Y by fraction-free back-substitution,
     X_i = (last·B'_i - Σ_{j>i} u_ij·X_j) / u_ii, where every division is exact
     because last·Y is Cramer's integer numerator (Nakos, Turner & Williams,
     SIGSAM Bull. 31, 1997).
@@ -136,7 +134,8 @@ def determinant_and_solution(a: Mat, b: Mat) -> tuple[Fraction, Mat | None]:
     k = len(a)
     if len(b) != k:
         raise SizeMismatchError("right-hand side has wrong number of rows")
-    e = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    scale, rows = clear_denominators([[*ra, *rb] for ra, rb in zip(a, b)])
+    e = _eliminate(rows)
     if e.pivots[:k] != list(range(k)):
         return Fraction(0), None
     x: list[list[int]] = [[]] * k
@@ -147,7 +146,8 @@ def determinant_and_solution(a: Mat, b: Mat) -> tuple[Fraction, Mat | None]:
             if u:
                 acc = [s - u * v for s, v in zip(acc, xj)]
         x[i] = [s // row[i] for s in acc]
-    return Fraction(e.sign * e.last, e.scale), [[Fraction(v, e.last) for v in xi] for xi in x]
+    det = Fraction((-1) ** e.swaps * e.last, scale ** k)
+    return det, [[Fraction(v, e.last) for v in xi] for xi in x]
 
 
 def bareiss_determinant(m: Mat) -> Fraction:
@@ -157,12 +157,12 @@ def bareiss_determinant(m: Mat) -> Fraction:
 
 def pivot_columns(m: Mat) -> list[int]:
     """Indices of the leftmost maximal set of linearly independent columns."""
-    return _eliminate(m).pivots
+    return _eliminate(clear_denominators(m)[1]).pivots
 
 
 def matrix_rank(m: Mat) -> int:
     """Rank over the rationals."""
-    return len(_eliminate(m).pivots)
+    return len(pivot_columns(m))
 
 
 def solve_linear(a: Mat, b: Mat) -> Mat:
@@ -197,28 +197,23 @@ class LDLDecomposition(NamedTuple):
 
 
 def ldl_decompose(q: Mat) -> LDLDecomposition:
-    """Fraction-free LDL' of a symmetric rational Q: a forward Bareiss pass.
+    """Fraction-free LDL' of a symmetric rational Q: ``_eliminate`` on scale·Q.
 
-    Q is scaled once to the integer matrix scale·Q; without pivoting, row j
-    after j elimination steps is u_j, and every update (p·x - f·y) / prev
-    divides exactly.  A zero minor means Q is not definite and raises
-    PivotBreakdownError; indefinite inputs that keep nonzero minors come back
-    with a negative one, so positive definiteness is read off the signs.
+    Q is scaled once to the integer matrix scale·Q.  When the elimination
+    takes pivots 0..k-1 without a row swap, row j is u_j and its pivot is the
+    leading principal minor Δ_{j+1}.  A swap or a skipped column means some
+    leading minor is zero, so Q is not definite: PivotBreakdownError.
+    Indefinite inputs that keep nonzero minors come back with a negative one,
+    so positive definiteness is read off the signs.
     """
     _require_square(q)
     if any(q[i][j] != q[j][i] for i in range(len(q)) for j in range(i)):
         raise SizeMismatchError("ldl_decompose requires a symmetric matrix")
     scale, a = clear_denominators(q)
-    prev = 1
-    for j, top in enumerate(a):
-        p = top[j]
-        if p == 0:
-            raise PivotBreakdownError(f"zero pivot at index {j}: matrix is not definite")
-        for i in range(j + 1, len(a)):
-            f = a[i][j]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-    return LDLDecomposition(scale, a)
+    e = _eliminate(a)
+    if e.swaps or e.pivots != list(range(len(a))):
+        raise PivotBreakdownError("a leading minor is zero: matrix is not definite")
+    return LDLDecomposition(scale, e.rows)
 
 
 # ---------------------------------------------------------------------------

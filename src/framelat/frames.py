@@ -7,7 +7,9 @@ every quantity used downstream (basis Grams, determinants, minimal vectors) is
 a function of inner products, and keeping those rational sidesteps square
 roots entirely.  A frame with a distinguished basis also stores the rational
 coordinate matrix X of the remaining columns over the basis; beta, the lcm of
-X's denominators, is derived from X.
+X's denominators, is derived from X.  A conference pair's record
+(``conference_data``) keeps N, N^{-1} and three determinants but not alpha,
+which k gives; a pair with a singular D has no record and no coordinate frame.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .circulant import (
     circulant_determinant,
     circulant_matrix,
     circulant_solve,
-    compute_N,
     is_conference,
 )
 from .exact import (
@@ -182,9 +183,8 @@ def is_integral(row) -> bool:
 
 
 class ConferenceData(NamedTuple):
-    alpha: int
     n_row: Row  # first row of N = -(alpha·I + A)^{-1}·D = D^{-1}(A - alpha·I)
-    n_inv_row: Row | None  # first row of N^{-1}; None when D is singular
+    n_inv_row: Row  # first row of N^{-1}
     det_d: int
     det_plus: int  # det(alpha·I + A)
     det_minus: int  # det(alpha·I - A)
@@ -192,7 +192,7 @@ class ConferenceData(NamedTuple):
 
 @functools.cache
 def conference_data(p: ConferencePair) -> ConferenceData:
-    """Alpha, N, N^{-1} and the three determinants of one conference pair.
+    """N, N^{-1} and the three determinants of one conference pair.
 
     The conference condition A² + D² = alpha²·I between commuting circulants
     gives D² = (alpha·I - A)(alpha·I + A), so an invertible D makes both
@@ -203,8 +203,9 @@ def conference_data(p: ConferencePair) -> ConferenceData:
 
     D is invertible at prime k: its eigenvalues d(w^j) at the nontrivial k-th
     roots of unity w^j are Galois conjugates, so one zero makes them all zero
-    and D = ±J, whose eigenvalue ±k has k² > 2k - 1 = alpha².  A singular D
-    would leave N to compute_N and N^{-1} to None.
+    and D = ±J, whose eigenvalue ±k has k² > 2k - 1 = alpha².  D is also
+    invertible for every pair at k = 25; a singular D raises
+    SingularCirculantError.
     """
     alpha = int(rational_alpha(p.k, 2 * p.k))
     if not is_conference(p):
@@ -212,8 +213,10 @@ def conference_data(p: ConferencePair) -> ConferenceData:
     plus_row = add_scalar(p.a_row, alpha)
     det_plus = int(circulant_determinant(plus_row))
     det_d, rows = circulant_solve(p.d_row, [add_scalar(p.a_row, -alpha), tuple(-v for v in plus_row)])
-    n_row, n_inv_row = rows if rows else (compute_N(p, alpha), None)
-    return ConferenceData(alpha, n_row, n_inv_row, int(det_d), det_plus, det_d ** 2 // det_plus)
+    if rows is None:
+        raise SingularCirculantError("D is singular")
+    n_row, n_inv_row = rows
+    return ConferenceData(n_row, n_inv_row, int(det_d), det_plus, det_d ** 2 // det_plus)
 
 
 def conference_frame(p: ConferencePair, variant: str) -> tuple[FrameSpec, CoordinateFrame]:
@@ -228,8 +231,6 @@ def conference_frame(p: ConferencePair, variant: str) -> tuple[FrameSpec, Coordi
     k = p.k
     spec = conference_frame_spec(p)
     data = conference_data(p)
-    if data.det_d == 0:
-        raise SingularCirculantError("D is singular")
     if variant == "plus":
         row, basis = data.n_row, tuple(range(1, k + 1))
     else:
@@ -258,7 +259,6 @@ _SIGN_ROWS_6_16 = [
     "+ - - + - + + - - + + - + - - +",
 ]
 
-_BASIS_6_16 = (1, 2, 3, 4, 5, 9)
 _BASIS_7_28 = (1, 2, 3, 4, 5, 6, 16)
 
 
@@ -277,7 +277,7 @@ def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> Coordin
     return CoordinateFrame(frame=spec, basis_indices=basis, coords=solve_linear(q, rhs))
 
 
-def _explicit_frame(vectors, k: int, basis: tuple) -> tuple[FrameSpec, CoordinateFrame]:
+def _explicit_frame(vectors, k: int, basis: tuple | None = None) -> tuple[FrameSpec, CoordinateFrame]:
     """Build a frame from integer vector representatives of one common length |v|²."""
     alpha = rational_alpha(k, len(vectors))
     scale = sum(x * x for x in vectors[0])
@@ -294,10 +294,10 @@ def _explicit_frame(vectors, k: int, basis: tuple) -> tuple[FrameSpec, Coordinat
 
 
 def frame_6_16() -> tuple[FrameSpec, CoordinateFrame]:
-    """The explicit (6,16) frame, built from a hard-coded sign matrix."""
+    """The explicit (6,16) frame, built from a hard-coded sign matrix, over
+    its greedy-leftmost basis."""
     rows = [[1 if c == "+" else -1 for c in r.split()] for r in _SIGN_ROWS_6_16]
-    vectors = transpose(rows)
-    return _explicit_frame(vectors, 6, _BASIS_6_16)
+    return _explicit_frame(transpose(rows), 6)
 
 
 def scaled_vectors_7_28() -> list:

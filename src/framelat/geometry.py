@@ -6,7 +6,9 @@ identity sum(x x') = c * Q^{-1} in basis coordinates.  It is perfect when
 the rank-one forms x x' of the minimal vectors span the full space of
 symmetric k x k matrices.  Both tests run on integers: eutaxy against the
 model's Gram scaled to integers, perfection as the rank of integer rank-one
-forms.
+forms.  Each returns only what a caller cannot derive: the Parseval constant
+c (None when not strongly eutactic) and the rank (perfect exactly when it is
+k(k+1)/2).
 
 The module also rebuilds the 28 x 28 integer certificate matrix whose
 nonzero determinant witnesses perfection of the 7-dimensional lattice
@@ -15,30 +17,16 @@ carried by the 28-vector frame, entirely in integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .exact import bareiss_determinant, clear_denominators, matrix_rank, transpose
 from .frames import scaled_vectors_7_28
 from .lattice import LatticeModel, MinVecReport
 
 
-@dataclass(frozen=True)
-class EutaxyReport:
-    is_strongly_eutactic: bool
-    parseval_constant: Optional[Fraction]  # the c with sum(x x') = c * Q^{-1}
-
-
-@dataclass(frozen=True)
-class PerfectionReport:
-    rank: int
-    required: int  # k(k+1)/2
-    is_perfect: bool
-
-
-def strong_eutaxy_check(model: LatticeModel, report: MinVecReport) -> EutaxyReport:
-    """Test whether the signed minimal vectors form a spherical 2-design.
+def strong_eutaxy_check(model: LatticeModel, report: MinVecReport) -> Fraction | None:
+    """The c with sum(x x') = c * Q^{-1} over the signed minimal vectors, or
+    None when they do not form a spherical 2-design.
 
     Forms the integer matrix S = sum of x x' over all signed minimal vectors
     (twice the sum over the stored +- representatives) and checks
@@ -60,10 +48,7 @@ def strong_eutaxy_check(model: LatticeModel, report: MinVecReport) -> EutaxyRepo
     )
     # Each stored representative stands for the pair {x, -x}, so the signed
     # sum telescopes to the zero vector with no computation needed.
-    return EutaxyReport(
-        is_strongly_eutactic=is_parseval,
-        parseval_constant=Fraction(c, scale) if is_parseval else None,
-    )
+    return Fraction(c, scale) if is_parseval else None
 
 
 def _lower_triangle(x: list, k: int) -> list:
@@ -71,7 +56,7 @@ def _lower_triangle(x: list, k: int) -> list:
     return [x[r] * x[c] for c in range(k) for r in range(c, k)]
 
 
-def perfection_rank(model: LatticeModel, report: MinVecReport) -> PerfectionReport:
+def perfection_rank(model: LatticeModel, report: MinVecReport) -> int:
     """Rank of the span of the rank-one forms x x' over the minimal vectors.
 
     Works with the lower-triangle vectorization (dimension k(k+1)/2); the
@@ -79,11 +64,7 @@ def perfection_rank(model: LatticeModel, report: MinVecReport) -> PerfectionRepo
     depend on the coordinate basis, since a basis change maps x x' to
     (Ux)(Ux)' which is a linear bijection on symmetric matrices.
     """
-    k = model.k
-    required = k * (k + 1) // 2
-    rows = [_lower_triangle(x, k) for x in report.vectors]
-    rank = matrix_rank(rows) if rows else 0
-    return PerfectionReport(rank=rank, required=required, is_perfect=rank == required)
+    return matrix_rank([_lower_triangle(x, model.k) for x in report.vectors])
 
 
 # --- 28x28 perfection certificate for the (7,28) lattice ----------------------

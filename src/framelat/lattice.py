@@ -6,7 +6,8 @@ LatticeModel carries one fraction-free LDL' of its Gram matrix, scaled to
 integers; it settles positive definiteness and the determinant, and drives a
 Fincke-Pohst depth-first search whose intervals come from math.isqrt on
 integers.  The search is cross-checked elsewhere against a certified
-brute-force box scan.
+brute-force box scan.  A MinVecReport keeps the minimum and one representative
+per +- pair; the count with signs is twice their number.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class LatticeModel:
 class MinVecReport:
     min_norm_sq: Fraction
     vectors: list  # one canonical representative per +- pair, lex sorted
-    count_with_signs: int
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,7 @@ def minimal_vectors(model: LatticeModel) -> MinVecReport:
              for x in short]
     least = min(norms)
     vecs = [v for v, t in zip(short, norms) if t == least]
-    return MinVecReport(min_norm_sq=F(least, scale), vectors=vecs,
-                        count_with_signs=2 * len(vecs))
+    return MinVecReport(min_norm_sq=F(least, scale), vectors=vecs)
 
 
 def _canonical(v) -> tuple:

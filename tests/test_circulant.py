@@ -148,8 +148,17 @@ def test_search_counts():
     assert len(search_conference_pairs(13)) == 12
 
 
+def test_search_refuses_orders_without_pairs():
+    # a symmetric conference matrix has order 2 mod 4, so even k has no pairs
+    for k in (1, 2, 4, 6):
+        with pytest.raises(ValueError, match="odd"):
+            search_conference_pairs(k)
+        with pytest.raises(ValueError, match="odd"):
+            search_conference_pairs(k, brute_force=True)
+
+
 def test_search_mitm_matches_brute_force():
-    for k in range(2, 18):
+    for k in range(3, 18, 2):
         assert search_conference_pairs(k) == search_conference_pairs(k, brute_force=True)
 
 
@@ -177,8 +186,7 @@ def per_tuple_search(k):
 
 
 def test_brute_force_matches_per_tuple_reference():
-    # even k covers the self-mirrored middle slot
-    for k in range(2, 12):
+    for k in range(3, 12, 2):
         assert search_conference_pairs(k, brute_force=True) == per_tuple_search(k), k
 
 
@@ -329,6 +337,10 @@ def test_compute_N_singular_plus_block():
     # alpha = 0 solves against A itself, which is singular at k = 5
     with pytest.raises(SingularCirculantError):
         compute_N(ConferencePair(5, *T5[0]), 0)
+
+
+def test_committed_cache_25_is_the_search_result():
+    assert load_pairs(str(CACHE_25), 25) == search_conference_pairs(25)
 
 
 def test_cache_roundtrip(tmp_path):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +11,7 @@ import sys
 import pytest
 
 import framelat
-from framelat import circulant, cli, geometry
+from framelat import circulant, cli, frames, geometry
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -145,6 +144,18 @@ def test_cache_for_another_order_is_a_cache_error(workdir, capsys):
     assert code == 3
     assert out == ""
     assert "cache error" in err
+
+
+@pytest.mark.parametrize("order", [[0, 0, 1, 2, 3], [3, 2, 1, 0]])
+def test_repeated_or_reordered_cache_pairs_are_a_cache_error(workdir, capsys, order):
+    # the cache order numbers the pairs (conference:5:i), so it must be the search's
+    bad = workdir / "shuffled.json"
+    pairs = circulant.search_conference_pairs(5)
+    circulant.save_pairs(str(bad), 5, [pairs[i] for i in order])
+    for argv in (("search", "5"), ("analyze", "conference:5:0")):
+        code, out, err = run(capsys, *argv, "--cache", str(bad))
+        assert (code, out) == (3, ""), argv
+        assert "cache error" in err and "order" in err
 
 
 def test_cache_directory_option(workdir, capsys):
@@ -350,14 +361,27 @@ def test_family_checks_assert_on_the_analyze_record(monkeypatch):
     real = geometry.perfection_rank
 
     def one_short(model, rep):
-        pf = real(model, rep)
-        return dataclasses.replace(pf, rank=pf.rank - 1)
+        return real(model, rep) - 1
 
     monkeypatch.setattr(geometry, "perfection_rank", one_short)
     checks = dict(cli.verification_checks(cli.RunConfig()))
     for label in ("simplex", "5x10", "13x26", "6x16", "7x28"):
         ok, detail = checks[label]()
         assert not ok and "perfectionRank" in detail, (label, detail)
+
+
+def test_6x16_check_tests_the_greedy_basis(monkeypatch):
+    # the (6,16) frame takes the greedy leftmost basis, which the check pins
+    monkeypatch.setattr(frames, "select_basis_greedy", lambda gram, k: (1, 2, 3, 4, 5, 10))
+    ok, detail = dict(cli.verification_checks(cli.RunConfig()))["6x16"]()
+    assert not ok and "basis" in detail, detail
+
+
+def test_5x10_check_tests_compute_N(monkeypatch):
+    real = circulant.compute_N
+    monkeypatch.setattr(circulant, "compute_N", lambda p, alpha: tuple(-v for v in real(p, alpha)))
+    ok, detail = dict(cli.verification_checks(cli.RunConfig()))["5x10"]()
+    assert not ok and "N first row" in detail, detail
 
 
 def test_verify_all_skip_unlocks_a_clean_exit(capsys):

@@ -220,7 +220,7 @@ def test_elimination_pivots_are_leading_minors():
         if 0 in minors:
             continue
         e = exact._eliminate(m)
-        assert e.pivots == list(range(k)) and e.sign == 1
+        assert e.pivots == list(range(k)) and e.swaps == 0
         assert [e.rows[i][i] for i in range(k)] == minors
         assert all(e.rows[i][j] == 0 for i in range(k) for j in range(i))
         checked += 1
@@ -246,8 +246,11 @@ def test_ldl_identity():
 
 
 def test_ldl_semidefinite_breaks_down():
-    with pytest.raises(PivotBreakdownError):
-        ldl_decompose([[1, 1], [1, 1]])
+    # a zero leading minor: no pivot in column 1, or a row swap to find one
+    # (after the swap [[0,1],[1,0]] has minors 1, 1, yet it is indefinite)
+    for q in ([[1, 1], [1, 1]], [[0, 1], [1, 0]], [[1, 1, 0], [1, 1, 1], [0, 1, 5]]):
+        with pytest.raises(PivotBreakdownError):
+            ldl_decompose(q)
 
 
 def test_ldl_reconstruction_property():

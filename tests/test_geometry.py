@@ -57,9 +57,7 @@ def model_and_minima(cf):
 def test_square_lattice_is_eutactic_with_constant_two():
     model = lattice.LatticeModel(k=2, gram=[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     rep = lattice.minimal_vectors(model)
-    out = geometry.strong_eutaxy_check(model, rep)
-    assert out.is_strongly_eutactic
-    assert out.parseval_constant == 2
+    assert geometry.strong_eutaxy_check(model, rep) == 2
 
 
 def test_rectangular_lattice_is_not_eutactic():
@@ -67,23 +65,15 @@ def test_rectangular_lattice_is_not_eutactic():
     # be a multiple of the identity.
     model = lattice.LatticeModel(k=2, gram=[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
     rep = lattice.minimal_vectors(model)
-    out = geometry.strong_eutaxy_check(model, rep)
-    assert not out.is_strongly_eutactic
-    assert out.parseval_constant is None
+    assert geometry.strong_eutaxy_check(model, rep) is None
 
 
 def test_simplex_family_eutaxy_and_rank():
     for k in range(2, 10):
         _, cf = frames.simplex_frame(k)
         model, rep = model_and_minima(cf)
-        eu = geometry.strong_eutaxy_check(model, rep)
-        assert eu.is_strongly_eutactic, k
-        assert eu.parseval_constant == Fraction(2 * (k + 1), k)
-        pf = geometry.perfection_rank(model, rep)
-        assert pf.rank == k + 1
-        assert pf.required == k * (k + 1) // 2
-        # k = 2 is the lone perfect member: 3 = 2*3/2.
-        assert pf.is_perfect == (k == 2)
+        assert geometry.strong_eutaxy_check(model, rep) == Fraction(2 * (k + 1), k), k
+        assert geometry.perfection_rank(model, rep) == k + 1
 
 
 def test_conference_5_10_eutactic_not_perfect():
@@ -91,42 +81,30 @@ def test_conference_5_10_eutactic_not_perfect():
         for variant in ("plus", "minus"):
             _, cf = frames.conference_frame(p, variant)
             model, rep = model_and_minima(cf)
-            eu = geometry.strong_eutaxy_check(model, rep)
-            assert eu.is_strongly_eutactic
-            assert eu.parseval_constant == 4
-            pf = geometry.perfection_rank(model, rep)
-            assert (pf.rank, pf.required, pf.is_perfect) == (10, 15, False)
+            assert geometry.strong_eutaxy_check(model, rep) == 4
+            assert geometry.perfection_rank(model, rep) == 10
 
 
 def test_frame_6_16_eutactic_not_perfect():
     _, cf = frames.frame_6_16()
     model, rep = model_and_minima(cf)
-    eu = geometry.strong_eutaxy_check(model, rep)
-    assert eu.is_strongly_eutactic
-    assert eu.parseval_constant == Fraction(16, 3)
-    pf = geometry.perfection_rank(model, rep)
-    assert (pf.rank, pf.required, pf.is_perfect) == (16, 21, False)
+    assert geometry.strong_eutaxy_check(model, rep) == Fraction(16, 3)
+    assert geometry.perfection_rank(model, rep) == 16
 
 
 def test_frame_7_28_eutactic_and_perfect():
     _, cf = frames.frame_7_28()
     model, rep = model_and_minima(cf)
-    eu = geometry.strong_eutaxy_check(model, rep)
-    assert eu.is_strongly_eutactic
-    assert eu.parseval_constant == 8
-    pf = geometry.perfection_rank(model, rep)
-    assert (pf.rank, pf.required, pf.is_perfect) == (28, 28, True)
+    assert geometry.strong_eutaxy_check(model, rep) == 8
+    assert geometry.perfection_rank(model, rep) == 28
 
 
 def test_conference_13_26_eutactic_not_perfect():
     p = circulant.search_conference_pairs(13)[0]
     _, cf = frames.conference_frame(p, frames.preferred_variant(p))
     model, rep = model_and_minima(cf)
-    eu = geometry.strong_eutaxy_check(model, rep)
-    assert eu.is_strongly_eutactic
-    assert eu.parseval_constant == 4
-    pf = geometry.perfection_rank(model, rep)
-    assert (pf.rank, pf.required, pf.is_perfect) == (26, 91, False)
+    assert geometry.strong_eutaxy_check(model, rep) == 4
+    assert geometry.perfection_rank(model, rep) == 26
 
 
 def test_rank_bounded_by_vector_count_and_dimension():
@@ -135,8 +113,8 @@ def test_rank_bounded_by_vector_count_and_dimension():
     cases.append(frames.conference_frame(p, "plus")[1])
     for cf in cases:
         model, rep = model_and_minima(cf)
-        pf = geometry.perfection_rank(model, rep)
-        assert pf.rank <= min(len(rep.vectors), pf.required)
+        k = model.k
+        assert geometry.perfection_rank(model, rep) <= min(len(rep.vectors), k * (k + 1) // 2)
 
 
 def test_rank_invariant_under_unimodular_change_of_coordinates():
@@ -144,7 +122,7 @@ def test_rank_invariant_under_unimodular_change_of_coordinates():
     p = circulant.search_conference_pairs(5)[0]
     _, cf = frames.conference_frame(p, "plus")
     model, rep = model_and_minima(cf)
-    base_rank = geometry.perfection_rank(model, rep).rank
+    base_rank = geometry.perfection_rank(model, rep)
     k = model.k
     for _ in range(10):
         u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
@@ -155,16 +133,14 @@ def test_rank_invariant_under_unimodular_change_of_coordinates():
                 u[i][col] += c * u[j][col]
         moved = [tuple(sum(u[i][j] * x[j] for j in range(k)) for i in range(k))
                  for x in rep.vectors]
-        fake = lattice.MinVecReport(min_norm_sq=rep.min_norm_sq, vectors=moved,
-                                    count_with_signs=rep.count_with_signs)
-        assert geometry.perfection_rank(model, fake).rank == base_rank
+        fake = lattice.MinVecReport(min_norm_sq=rep.min_norm_sq, vectors=moved)
+        assert geometry.perfection_rank(model, fake) == base_rank
 
 
 def test_empty_report_has_rank_zero():
     model = lattice.LatticeModel(k=2, gram=[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
-    fake = lattice.MinVecReport(min_norm_sq=Fraction(1), vectors=[], count_with_signs=0)
-    pf = geometry.perfection_rank(model, fake)
-    assert (pf.rank, pf.required, pf.is_perfect) == (0, 3, False)
+    fake = lattice.MinVecReport(min_norm_sq=Fraction(1), vectors=[])
+    assert geometry.perfection_rank(model, fake) == 0
 
 
 def test_certificate_matrix_matches_reference_entrywise():

@@ -202,7 +202,7 @@ def test_minimal_simplex_4():
     _, cf = simplex_frame(4)
     rep = minimal_vectors(lattice_model(cf))
     assert rep.min_norm_sq == 1
-    assert rep.count_with_signs == 10
+    assert 2 * len(rep.vectors) == 10
     assert set(rep.vectors) == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                                 (0, 0, 0, 1), (1, 1, 1, 1)}
 
@@ -214,7 +214,7 @@ def test_minimal_5_10():
         model = lattice_model(cf)
         rep = minimal_vectors(model)
         assert rep.min_norm_sq == 1
-        assert rep.count_with_signs == 20
+        assert 2 * len(rep.vectors) == 20
         assert frame_vectors_are_minimal(model, rep)
 
 
@@ -223,7 +223,7 @@ def test_minimal_6_16():
     model = lattice_model(cf)
     rep = minimal_vectors(model)
     assert rep.min_norm_sq == 1
-    assert rep.count_with_signs == 32
+    assert 2 * len(rep.vectors) == 32
     assert frame_vectors_are_minimal(model, rep)
     assert has_basis_of_minimal_vectors(model, rep)
 
