@@ -1,9 +1,10 @@
 """Symmetric circulant rows over the integers/rationals and the conference-pair search.
 
 A symmetric circulant is determined by its palindromic first row, so everything
-here works on rows.  Only ``circulant_solve`` (det circ(row) and quotients by
-it, one elimination) and ``circulant_determinant`` materialize a dense matrix
-for arithmetic; inverses and ``compute_N`` are one such solve each.  The search
+here works on rows.  ``circulant_solve`` (det circ(row) and quotients by it)
+and ``circulant_determinant`` eliminate the (k//2 + 1)-square matrix of
+circ(row) on palindromic rows, never the dense k x k one, and take palindromic
+rows only; inverses and ``compute_N`` are one such solve each.  The search
 enumerates sign patterns for a pair of circulants (A, D) of odd order k with A
 having a zero leading entry, looking for a*a + d*d = (2k-1)e0 under cyclic
 convolution — equivalently C^2 = (2k-1)I for the block matrix
@@ -106,8 +107,15 @@ def is_conference(p: ConferencePair) -> bool:
 def _sign_slots(k: int) -> list[tuple]:
     """Row positions filled by each free sign of a palindromic row of odd
     length k after its head: sign i fills positions i and k - i for
-    1 <= i <= (k-1)/2."""
+    1 <= i <= (k-1)/2.  For even k the middle position k/2 is left out."""
     return [(i, k - i) for i in range(1, (k + 1) // 2)]
+
+
+def _palindromic_slots(k: int) -> list[tuple]:
+    """Row positions sharing each coordinate of a palindromic row of length k:
+    the head, the sign slots, and k/2 alone when k is even.  Slot j starts at
+    position j, and position i lies in slot min(i, k - i)."""
+    return [(0,)] + _sign_slots(k) + ([(k // 2,)] if k % 2 == 0 else [])
 
 
 def _palindromic_row(k: int, head, signs) -> Row:
@@ -203,22 +211,64 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
             for signs in joined]
 
 
+def _fold(row: Row) -> list[list]:
+    """The matrix M of circ(row) on palindromic rows, in the basis of slot
+    indicator rows: M[j][s] = Σ_{p in slot s} row[(j - p) mod k]."""
+    if not is_palindromic(row):
+        raise ValueError("circulant rows must be palindromic")
+    slots = _palindromic_slots(len(row))
+    # a negative index j - p wraps, so row[j - p] is row[(j - p) mod k]
+    return [[row[j - s[0]] + row[j - s[1]] if len(s) == 2 else row[j - s[0]] for s in slots]
+            for j in range(len(slots))]
+
+
+def _unfolded_determinant(row: Row, det_m: Fraction) -> Fraction:
+    """det circ(row) from det M = det _fold(row); see ``circulant_determinant``."""
+    if not det_m:
+        return det_m
+    edge = sum(row)
+    if len(row) % 2 == 0:
+        edge *= sum(v if i % 2 == 0 else -v for i, v in enumerate(row))
+    return det_m ** 2 / edge
+
+
 def circulant_determinant(row: Row) -> Fraction:
-    """det circ(row), exact."""
-    return bareiss_determinant(circulant_matrix(row))
+    """det circ(row) for a palindromic row, exact, from det M of the folded
+    (k//2 + 1)-square matrix M = ``_fold(row)``.
+
+    circ(row) has eigenvalue c(w^j) = Σ_i row[i]·w^(ij) on the j-th Fourier
+    vector f_j (w a primitive k-th root of unity), and c(w^j) = c(w^-j) for a
+    palindromic row.  It maps palindromic rows to palindromic rows; they are
+    spanned by f_0, f_j + f_(k-j) for 0 < j < k/2, and f_(k/2) for even k, so
+    M's eigenvalues are c(1), each c(w^j) with 0 < j < k/2 once, and c(-1) for
+    even k, while circ(row) has each c(w^j) with 0 < j < k/2 twice (P. J. Davis,
+    Circulant Matrices, 1979).  Hence det circ(row) = det(M)² / (c(1)·c(-1)),
+    the c(-1) for even k only.  A zero divisor is an eigenvalue of M, so then
+    det M = 0 and det circ(row) = 0.
+    """
+    return _unfolded_determinant(row, bareiss_determinant(_fold(row)))
 
 
 def circulant_solve(row: Row, rhs=()) -> tuple[Fraction, list[Row] | None]:
     """det circ(row) and, for each r in rhs, the first row y with conv(y, row) = r.
 
-    conv(y, row) = r reads circ(row)'·y = r in matrix form, so one elimination
-    of [circ(row)' | r ...] gives the determinant and every y; the rows are
-    None when circ(row) is singular.
+    The row and every r must be palindromic.  Reversing positions commutes
+    with circ(row), so each y is palindromic too and is fixed by its first
+    k//2 + 1 entries: one elimination of [M | r_0..r_(k//2) ...] with the
+    folded M of ``circulant_determinant`` gives det M, hence det circ(row),
+    and every y, unfolded as y[i] = y_slot[min(i, k - i)].  The rows are None
+    when circ(row) is singular.
     """
     k = len(row)
-    transposed = circulant_matrix([row[-j] for j in range(k)])
-    det, cols = determinant_and_solution(transposed, [[r[i] for r in rhs] for i in range(k)])
-    return det, None if cols is None else [tuple(c[t] for c in cols) for t in range(len(rhs))]
+    if any(len(r) != k for r in rhs):
+        raise SizeMismatchError(f"right-hand side is not of length {k}")
+    if not all(map(is_palindromic, rhs)):
+        raise ValueError("circulant rows must be palindromic")
+    m = _fold(row)
+    det_m, cols = determinant_and_solution(m, [[r[j] for r in rhs] for j in range(len(m))])
+    det = _unfolded_determinant(row, det_m)
+    return det, None if cols is None else [tuple(cols[min(i, k - i)][t] for i in range(k))
+                                           for t in range(len(rhs))]
 
 
 def circulant_inverse(row: Row) -> Row:

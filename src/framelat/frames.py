@@ -199,7 +199,11 @@ def conference_data(p: ConferencePair) -> ConferenceData:
     alpha·I ± A invertible, and one solve against D yields det D and both
     rows: N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  The
     same identity gives det(alpha·I - A) = det(D)²/det(alpha·I + A) exactly,
-    so a pair costs two eliminations: the solve and det(alpha·I + A).
+    so a pair costs two eliminations: the solve and det(alpha·I + A).  Both
+    act on the folded (k+1)/2-square matrix M of a symmetric circulant (see
+    ``circulant_determinant``), so det(alpha·I + A) = det(M)²/(alpha + Σa).
+    Where Σa = 0 (every pair at k = 5 and k = 25) that reads alpha·m² with
+    det M = ±alpha·m.
 
     D is invertible at prime k: its eigenvalues d(w^j) at the nontrivial k-th
     roots of unity w^j are Galois conjugates, so one zero makes them all zero

@@ -247,12 +247,17 @@ def test_inverse_identity():
     assert circulant_inverse((1, 0, 0)) == (1, 0, 0)
 
 
+def palindromic(half, k):
+    """The palindromic row of length k whose first k//2 + 1 entries are half."""
+    return tuple(half[min(i, k - i)] for i in range(k))
+
+
 def test_inverse_roundtrip():
     rng = random.Random(3)
     done = 0
     while done < 25:
-        k = rng.randint(2, 6)
-        row = tuple(rng.randint(-3, 3) for _ in range(k))
+        k = rng.randint(2, 9)
+        row = palindromic([rng.randint(-3, 3) for _ in range(k // 2 + 1)], k)
         try:
             inv = circulant_inverse(row)
         except SingularCirculantError:
@@ -283,30 +288,60 @@ def test_inverse_of_non_numeric_row_is_not_reported_singular():
 
 
 @st.composite
-def rational_circulant_rows(draw):
-    """Rational rows of length 1..6, palindromic or not, singular or not."""
-    k = draw(st.integers(1, 6))
-    row = [draw(st.fractions(-5, 5, max_denominator=6)) for _ in range(k)]
-    if draw(st.booleans()):
-        row = [row[min(i, k - i)] for i in range(k)]
-    if draw(st.booleans()):  # row sum 0 puts the all-ones vector in the kernel
-        row[0] -= sum(row)
+def palindromic_rational_rows(draw, max_len):
+    """Rational palindromic rows of length 1..max_len, singular or not.  Extra
+    draws zero c(1) = Σ row (the all-ones row is then in the kernel) and, for
+    even length, c(-1) = Σ (-1)^i row[i] (the alternating row is)."""
+    k = draw(st.integers(1, max_len))
+    half = [draw(st.fractions(-5, 5, max_denominator=6)) for _ in range(k // 2 + 1)]
+    row = list(palindromic(half, k))
+    c1, cm1 = sum(row), sum(v if i % 2 == 0 else -v for i, v in enumerate(row))
+    zero_c1 = draw(st.booleans())
+    zero_cm1 = k % 2 == 0 and draw(st.booleans())
+    if zero_c1 and zero_cm1:
+        # row[0] += x and row[1] = row[k-1] += v move c(1) by x + w·v and
+        # c(-1) by x - w·v, where w counts the positions 1 and k - 1
+        w = len({1, k - 1})
+        x, v = -(c1 + cm1) / 2, -(c1 - cm1) / (2 * w)
+        row[0] += x
+        for i in {1, k - 1}:
+            row[i] += v
+    elif zero_c1:
+        row[0] -= c1
+    elif zero_cm1:
+        row[0] -= cm1
     return tuple(row)
 
 
-@given(rational_circulant_rows(), st.data())
+@given(palindromic_rational_rows(15), st.data())
 def test_circulant_solve_matches_cofactor_and_convolution(row, data):
     k = len(row)
     entry = st.fractions(-5, 5, max_denominator=7)
-    rhs = data.draw(st.lists(st.tuples(*[entry] * k), max_size=3))
+    halves = data.draw(st.lists(st.tuples(*[entry] * (k // 2 + 1)), max_size=3))
+    rhs = [palindromic(h, k) for h in halves]
     det, rows = circulant_solve(row, rhs)
-    assert det == cofactor_determinant(circulant_matrix(row)) == circulant_determinant(row)
+    dense = circulant_matrix(row)
+    reference = cofactor_determinant(dense) if k <= 6 else bareiss_determinant(dense)
+    assert det == reference == circulant_determinant(row)
     if det == 0:
         assert rows is None
     else:
         assert len(rows) == len(rhs)
         for y, r in zip(rows, rhs):
             assert circulant_multiply(y, row) == r
+
+
+def test_circulant_solve_takes_palindromic_rows_only():
+    with pytest.raises(ValueError, match="palindromic"):
+        circulant_solve((1, 2, 3))
+    with pytest.raises(ValueError, match="palindromic"):
+        circulant_determinant((1, 2, 3, 4))
+    with pytest.raises(ValueError, match="palindromic"):
+        circulant_inverse((2, 1, 0, 0))
+    with pytest.raises(ValueError, match="palindromic"):
+        circulant_solve((3, 1, 1), [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(SizeMismatchError):
+        circulant_solve((3, 1, 1), [(1, 0)])
 
 
 def test_compute_N_t1():

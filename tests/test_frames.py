@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from framelat import circulant
 from framelat.circulant import (
     ConferencePair,
+    add_scalar,
     circulant_inverse,
     circulant_matrix,
     circulant_multiply,
@@ -153,12 +155,34 @@ def test_conference_data_matches_the_dense_reference(k):
         assert data.n_row == compute_N(p, alpha)
         assert data.n_inv_row == circulant_inverse(data.n_row)
         assert circulant_multiply(data.n_row, data.n_inv_row) == e0
+        # convolution identities, independent of the folded solve behind all three
+        assert circulant_multiply(p.d_row, data.n_row) == add_scalar(p.a_row, -alpha)
+        minus_plus = tuple(-v for v in add_scalar(p.a_row, alpha))
+        assert circulant_multiply(p.d_row, data.n_inv_row) == minus_plus
         a = circulant_matrix(p.a_row)
         plus = [[alpha * (i == j) + a[i][j] for j in range(k)] for i in range(k)]
         minus = [[alpha * (i == j) - a[i][j] for j in range(k)] for i in range(k)]
         assert data.det_d == bareiss_determinant(circulant_matrix(p.d_row))
         assert data.det_plus == bareiss_determinant(plus)
         assert data.det_minus == bareiss_determinant(minus)
+
+
+def test_conference_data_eliminates_half_size_matrices(monkeypatch):
+    # both eliminations behind a k = 25 record are of a 13-row folded matrix
+    sizes = []
+
+    def recording(fn):
+        def wrapped(m, *args):
+            sizes.append(len(m))
+            return fn(m, *args)
+        return wrapped
+
+    for name in ("determinant_and_solution", "bareiss_determinant"):
+        monkeypatch.setattr(circulant, name, recording(getattr(circulant, name)))
+    for p in conference_pairs(25):
+        data = conference_data.__wrapped__(p)
+        assert data.det_plus == data.det_minus == 2 ** 24 * 7 ** 9
+    assert sizes == [13] * 40
 
 
 def test_conference_data_rejects_a_non_conference_pair():
