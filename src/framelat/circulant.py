@@ -12,11 +12,11 @@ C = [[A, D], [D, -A]].  A symmetric conference matrix has order 2 mod 4, so
 even k has no pairs and the search refuses it.  The pair cache holds the
 search's list in the search's order, and loading checks that order.
 
-The default search never convolves rows.  It keys each candidate row a by the
-integer Σ_j (a*a)_j·B^j with B = 2^16 (Kronecker substitution).  A palindromic
-row has a(x^-1) ≡ a(x) mod x^k - 1, so with E = Σ (a_j + 1)·B^j the
-autocorrelation is E² mod (B^k - 1) minus (2·Σa + k)·J, where J = Σ B^j.  Each
-digit of the folded square is at most 4k < B (for k < 2^14), so no digit
+The default search and ``is_conference`` never convolve rows.  They key each
+row a by the integer Σ_j (a*a)_j·B^j with B = 2^16 (Kronecker substitution).
+A palindromic row has a(x^-1) ≡ a(x) mod x^k - 1, so with E = Σ (a_j + 1)·B^j
+the autocorrelation is E² mod (B^k - 1) minus (2·Σa + k)·J, where J = Σ B^j.
+Each digit of the folded square is at most 4k < B (for k < 2^14), so no digit
 carries into the next; the keys of two autocorrelations (digits at most k in
 absolute value) are equal exactly when the autocorrelations are.  A row and
 its negation have the same autocorrelation, so only rows whose first free sign
@@ -94,16 +94,6 @@ def _check_pattern(p: ConferencePair) -> None:
         raise MalformedPatternError("rows must be palindromic")
 
 
-def is_conference(p: ConferencePair) -> bool:
-    """True iff a*a + d*d = (2k-1)·e0, the conference condition C² = (n-1)I."""
-    _check_pattern(p)
-    k = p.k
-    aa = circulant_multiply(p.a_row, p.a_row)
-    dd = circulant_multiply(p.d_row, p.d_row)
-    target = (2 * k - 1,) + (0,) * (k - 1)
-    return tuple(x + y for x, y in zip(aa, dd)) == target
-
-
 def _sign_slots(k: int) -> list[tuple]:
     """Row positions filled by each free sign of a palindromic row of odd
     length k after its head: sign i fills positions i and k - i for
@@ -146,6 +136,27 @@ def autocorrelation_key(k: int, e: int, total: int) -> int:
     mask = (1 << width) - 1
     sq = e * e
     return (sq & mask) + (sq >> width) - (2 * total + k) * (mask // ((1 << _DIGIT_BITS) - 1))
+
+
+def _row_key(row: Row) -> int:
+    """``autocorrelation_key`` of a palindromic row with entries in {-1, 0, 1}."""
+    e = sum((v + 1) << (_DIGIT_BITS * j) for j, v in enumerate(row))
+    return autocorrelation_key(len(row), e, sum(row))
+
+
+def is_conference(p: ConferencePair) -> bool:
+    """True iff a*a + d*d = (2k-1)·e0, the conference condition C² = (n-1)I.
+
+    Compares the search's keys: key(a) + key(d) = 2k - 1.  Each key has digits
+    at most k in absolute value, so their sum has digits below B/2 and is the
+    key of a*a + d*d.  Keys carry for k >= 2^14, which raises
+    MalformedPatternError.
+    """
+    _check_pattern(p)
+    k = p.k
+    if k >= 1 << (_DIGIT_BITS - 2):
+        raise MalformedPatternError(f"k = {k} is not below 2^{_DIGIT_BITS - 2}")
+    return _row_key(p.a_row) + _row_key(p.d_row) == 2 * k - 1
 
 
 def _keyed_rows(k: int, slots: list[tuple]):

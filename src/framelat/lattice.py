@@ -5,7 +5,11 @@ Everything except packing_density and the non-lattice demo is exact.  Each
 LatticeModel carries one fraction-free LDL' of its Gram matrix, scaled to
 integers; it settles positive definiteness and the determinant, and drives a
 Fincke-Pohst depth-first search whose intervals come from math.isqrt on
-integers.  The search is cross-checked elsewhere against a certified
+integers.  The search walks half the tree: while every coordinate above level
+j is 0, x_j starts at 0, so it yields exactly the one of x and -x whose topmost
+nonzero coordinate is positive, and _canonical maps that one to the same
+representative as the other.  Partial centres are summed over the nonzero
+coordinates only.  The search is cross-checked elsewhere against a certified
 brute-force box scan.  A MinVecReport keeps the minimum and one representative
 per +- pair; the count with signs is twice their number.
 """
@@ -108,14 +112,17 @@ def lattice_determinant(model: LatticeModel) -> SurdValue:
 
 
 def enumerate_short_vectors(model: LatticeModel, bound_sq) -> list:
-    """All nonzero integer x with x'·gram·x <= bound_sq, exactly.
+    """All nonzero integer x with x'·gram·x <= bound_sq, exactly, one per +- pair.
 
     With LDL' rows u_j, minors Δ_j, M = lcm(Δ_j Δ_{j+1}) and
     w_j = M / (Δ_j Δ_{j+1}), the condition is the integer inequality
     Σ_j w_j (Δ_{j+1} x_j + s_j)² <= M·floor(bound_sq·scale) with
-    s_j = Σ_{i>j} u_j[i] x_i.  Depth first over x_{k-1}..x_0, level j keeps
-    |Δ_{j+1} x_j + s_j| <= isqrt(rem // w_j).  One canonical representative
-    per +- pair (first nonzero coordinate positive), sorted lexicographically.
+    s_j = Σ_{i>j} u_j[i] x_i, summed over the levels i with x_i != 0.  Depth
+    first over x_{k-1}..x_0, level j keeps |Δ_{j+1} x_j + s_j| <= isqrt(rem // w_j),
+    and x_j >= 0 while x_{j+1..k-1} are all 0.  Of x and -x exactly one has a
+    positive topmost nonzero coordinate, so each pair is visited once.  Returns
+    the canonical representatives (first nonzero coordinate positive), sorted
+    lexicographically.
     """
     k = model.k
     dec = model.ldl
@@ -124,22 +131,29 @@ def enumerate_short_vectors(model: LatticeModel, bound_sq) -> list:
     m = math.lcm(*(delta[j] * delta[j + 1] for j in range(k)))
     w = [m // (delta[j] * delta[j + 1]) for j in range(k)]
     bound = F(bound_sq) * dec.scale
-    out = set()
+    out = []
     x = [0] * k
+    nonzero = []  # the levels above j whose x_i != 0
 
     def descend(j: int, rem: int) -> None:
         if j < 0:
-            if any(x):
-                out.add(_canonical(x))
+            if nonzero:
+                out.append(_canonical(x))
             return
-        s = sum(u[j][i] * x[i] for i in range(j + 1, k))
+        row = u[j]
+        s = sum(row[i] * x[i] for i in nonzero)
         d = delta[j + 1]
         r = math.isqrt(rem // w[j])
-        for v in range(-((r + s) // d), (r - s) // d + 1):
-            x[j] = v
+        for v in range(-((r + s) // d) if nonzero else 0, (r - s) // d + 1):
             t = d * v + s
-            descend(j - 1, rem - w[j] * t * t)
-        x[j] = 0
+            if v:
+                x[j] = v
+                nonzero.append(j)
+                descend(j - 1, rem - w[j] * t * t)
+                nonzero.pop()
+                x[j] = 0
+            else:
+                descend(j - 1, rem - w[j] * t * t)
 
     descend(k - 1, m * max(0, bound.numerator // bound.denominator))
     return sorted(out)

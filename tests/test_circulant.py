@@ -122,6 +122,32 @@ def test_is_conference_malformed():
         is_conference(ConferencePair(5, (0, 1, 1, 1, 1), (1, 1, 2, 2, 1)))  # bad sign
 
 
+def test_is_conference_refuses_orders_where_keys_carry():
+    # keys have 16-bit digits, and the digits of a*a + d*d stay below 2^15 only for k < 2^14
+    for k in (2 ** 14, 2 ** 14 + 1):
+        with pytest.raises(MalformedPatternError):
+            is_conference(ConferencePair(k, (0,) + (1,) * (k - 1), (1,) * k))
+    k = 2 ** 14 - 1
+    assert not is_conference(ConferencePair(k, (0,) + (1,) * (k - 1), (1,) * k))
+
+
+def test_is_conference_matches_convolution():
+    # the keyed check against the conference condition by circulant_multiply
+    rng = random.Random(1717)
+    hits = 0
+    for _ in range(200):
+        k = rng.choice((3, 5, 7, 9, 13))
+        half_a = [rng.choice((-1, 1)) for _ in range(k // 2)]
+        half_d = [rng.choice((-1, 1)) for _ in range(k // 2 + 1)]
+        a = (0,) + tuple(half_a[min(i, k - i) - 1] for i in range(1, k))
+        d = tuple(half_d[min(i, k - i)] for i in range(k))
+        total = tuple(x + y for x, y in zip(circulant_multiply(a, a), circulant_multiply(d, d)))
+        expected = total == (2 * k - 1,) + (0,) * (k - 1)
+        assert is_conference(ConferencePair(k, a, d)) == expected
+        hits += expected
+    assert hits >= 10
+
+
 def test_search_k5_exact_list():
     found = search_conference_pairs(5)
     assert [(p.a_row, p.d_row) for p in found] == T5

@@ -134,6 +134,17 @@ def test_non_int_cache_entries_are_a_cache_error(workdir, capsys, k, one):
         assert "cache error" in err
 
 
+def test_cache_beyond_the_key_range_is_a_cache_error(workdir, capsys):
+    # is_conference keys rows with 16-bit digits, which carry from k = 2^14 on
+    k = 2 ** 14 + 1
+    big = workdir / "c16385.json"
+    big.write_text(json.dumps({"k": k, "pairs": [{"aRow": [0] + [1] * (k - 1), "dRow": [1] * k}]}))
+    code, out, err = run(capsys, "search", str(k), "--allow-unverified", "--cache", str(big))
+    assert code == 3
+    assert out == ""
+    assert "cache error" in err
+
+
 def test_cache_for_another_order_is_a_cache_error(workdir, capsys):
     # an empty pair list holds no pair of the wrong size, so only the header shows it
     other = workdir / "c11.json"
@@ -262,6 +273,16 @@ PINNED_SHA256 = {
         "json": "3d324db5ea2eb8f00ff4fdda2d03e168f57afdf200da74ab874901e624c45ab5",
         "csv": "294ce6c25dea5cd147c2a05b23250de18b0615b46fa2dd09e420dc6cb0181906",
         "text": "822e31351a0c05e6d1716cf9fdc0029c6e96da990e5a87c606187f3e36b94669",
+    },
+    ("analyze", "conference:25:7:minus"): {
+        "json": "2e1518b2afb070bb7acb3d08688570555716e0d35b25e3e8eecc13048699f124",
+        "csv": "413ac24adb23cab930564bfa36ea2d73752a1e75fdc866eac91b51214176657e",
+        "text": "93b3a1c6d84a451f35ff75cce75db8b79a14e24e4d60cd7da7d49c72680ffd52",
+    },
+    ("analyze", "conference:5:1:minus"): {
+        "json": "8165d33a88559fe00d6f384d84e65b3a009d463a6eeea33dd39874b7ad815422",
+        "csv": "05ed81c2e10bdc171f8b47bb26b458cf33814703f5033d874c8150320619ed58",
+        "text": "c8bb11e394e0aa1c9840e7f7d3d29523a1e9d8c8d1bad7c214bcc47b52a6089b",
     },
     ("analyze", "simplex:24"): {
         "json": "f5f826bc8ac9606da2534a7313bcce6fa4eb95d70b3527a300beab936ba8dbdb",

@@ -1,11 +1,13 @@
 """Tests for lattice construction, enumeration, and equivalence."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from framelat.circulant import search_conference_pairs
+from framelat import lattice
+from framelat.circulant import load_pairs, search_conference_pairs
 from framelat.exact import SurdValue, bareiss_determinant, mat_mul, transpose
 from framelat.frames import (
     CoordinateFrame,
@@ -34,6 +36,7 @@ from framelat.lattice import (
     packing_density,
     scalar_orthogonal_equivalence,
 )
+from test_circulant import CACHE_25
 
 F = Fraction
 
@@ -289,6 +292,113 @@ def test_brute_force_named_lattices():
     _, cf = conference_frame(pairs[0], "plus")
     model = lattice_model(cf)
     assert brute_force_short_vectors(model, 1) == enumerate_short_vectors(model, 1)
+
+
+def small_pd_gram(rng, k):
+    """a'a/d + I with a in {-1, 0, 1} and d >= 3: every diagonal entry is below 4."""
+    a = [[F(rng.randint(-1, 1)) for _ in range(k)] for _ in range(k)]
+    d = rng.randint(3, 6)
+    q = [[v / d for v in row] for row in mat_mul(transpose(a), a)]
+    for i in range(k):
+        q[i][i] += 1
+    return q
+
+
+def norm(model, x):
+    return sum(x[i] * model.gram[i][j] * x[j] for i in range(model.k) for j in range(model.k))
+
+
+def assert_enumeration_invariants(model, bound):
+    found = enumerate_short_vectors(model, bound)
+    assert len(set(found)) == len(found)
+    assert all(next(v for v in x if v) > 0 for x in found)
+    assert found == brute_force_short_vectors(model, bound)
+    return found
+
+
+def test_enumeration_invariants_random():
+    # one representative per +- pair, first nonzero coordinate positive, and
+    # the oracle's list, for integer, fractional and attained bounds up to k = 7
+    rng = random.Random(1985)
+    for trial in range(90):
+        k = rng.randint(1, 7)
+        model = model_from_gram(small_pd_gram(rng, k))
+        if trial % 3 == 0:
+            bound = F(rng.randint(1, 3))
+        elif trial % 3 == 1:
+            bound = F(rng.randint(1, 11), rng.randint(3, 5))
+        else:
+            # a random short y, else a unit vector (every diagonal entry is below 4)
+            tries = [tuple(rng.randint(-1, 1) for _ in range(k)) for _ in range(20)]
+            units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+            y = next(y for y in tries + units if any(y) and norm(model, y) < 4)
+            bound = norm(model, y)
+        found = assert_enumeration_invariants(model, bound)
+        if trial % 3 == 2:
+            assert tuple(y) in found or tuple(-v for v in y) in found
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_enumeration_at_the_first_and_last_coordinate(k):
+    # the +- cut lies at the topmost nonzero coordinate: a vector whose only
+    # nonzero coordinate is the last (searched first) or the first (searched
+    # last, under all-zero levels) must be found exactly once
+    rng = random.Random(k)
+    for p in {0, k - 1}:
+        unit = tuple(1 if i == p else 0 for i in range(k))
+        model = model_from_gram([[(1 if i == p else 5) if i == j else 0 for j in range(k)]
+                                 for i in range(k)])
+        assert assert_enumeration_invariants(model, 4) == [unit, tuple(2 * v for v in unit)]
+        q = small_pd_gram(rng, k)
+        for i in range(k):
+            q[i][i] += 0 if i == p else 3
+        model = model_from_gram(q)
+        assert unit in assert_enumeration_invariants(model, q[p][p])
+
+
+def unit_triangular(rng, k, lower):
+    return [[F(1) if i == j else F(rng.randint(-1, 1)) if (i > j) == lower else F(0)
+             for j in range(k)] for i in range(k)]
+
+
+def test_minimum_below_the_smallest_diagonal_entry():
+    # U'DU with a unimodular U = LR hides the short vectors behind long basis vectors
+    rng = random.Random(1994)
+    below = 0
+    for _ in range(40):
+        k = rng.randint(2, 4)
+        u = mat_mul(unit_triangular(rng, k, True), unit_triangular(rng, k, False))
+        d = [F(rng.randint(1, 4)) for _ in range(k)]
+        q = mat_mul(transpose(u), [[d[i] * v for v in row] for i, row in enumerate(u)])
+        model = model_from_gram(q)
+        least_diagonal = min(q[i][i] for i in range(k))
+        norms = {x: norm(model, x) for x in brute_force_short_vectors(model, least_diagonal)}
+        least = min(norms.values())
+        rep = minimal_vectors(model)
+        assert rep.min_norm_sq == least
+        assert rep.vectors == sorted(x for x, t in norms.items() if t == least)
+        below += least < least_diagonal
+    assert below >= 10
+
+
+def test_minimal_vectors_node_count_at_k25(monkeypatch):
+    # one integer square root per node visited: 6665 when both vectors of a
+    # +- pair were walked, about half with x_j >= 0 under all-zero levels
+    _, cf = conference_frame(load_pairs(str(CACHE_25), 25)[0], "plus")
+    model = lattice_model(cf)
+    model.ldl  # factor first, so that only the search's square roots are counted
+    nodes = 0
+    isqrt = math.isqrt
+
+    def counting(n):
+        nonlocal nodes
+        nodes += 1
+        return isqrt(n)
+
+    monkeypatch.setattr(lattice.math, "isqrt", counting)
+    rep = minimal_vectors(model)
+    assert len(rep.vectors) == 50 and frame_vectors_are_minimal(model, rep)
+    assert nodes <= 3400
 
 
 def test_simplex_norm_inequality_with_equality_on_minimal():
