@@ -7,10 +7,12 @@ matrix, and the shrinking-vector demonstration that the icosahedral frame
 spans no lattice.  Each command builds one record, its JSON document, and
 ``render`` prints that as JSON, as the command's CSV table, or through its text
 template.  A command accepts only the flags it reads (see ``COMMANDS``).
-The verification matrix's frame-family checks assert on the same
-``lattice_report`` record that ``analyze`` prints, against one closed-form
-profile of a lattice whose minimal vectors are exactly +- the frame
-(``_frame_minimal``).
+One table, ``FAMILIES``, holds the paper's (k, n) families: the analyze
+selector of each lattice and its closed-form volume.  ``table1`` prints it, the
+``alpha-gate`` check tests it, and the verification matrix's frame-family
+checks read their volumes from it: each asserts on the same ``lattice_report``
+record that ``analyze`` prints, against one closed-form profile of a lattice
+whose minimal vectors are exactly +- the frame (``_frame_minimal``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cache error.
 """
@@ -154,6 +156,7 @@ def _pair_facts(p: ConferencePair) -> dict:
 # --- analyze -------------------------------------------------------------------
 
 EXPLICIT_FRAMES = {"explicit:6x16": frames.frame_6_16, "explicit:7x28": frames.frame_7_28}
+_SELECTOR_GRAMMAR = " | ".join(("simplex:k", "conference:k[:pair[:variant]]", *EXPLICIT_FRAMES))
 
 
 def lattice_report(label: str, cf) -> dict:
@@ -232,9 +235,7 @@ def analyze_selector(label: str, cfg: RunConfig) -> dict:
     if label in EXPLICIT_FRAMES:
         _, cf = EXPLICIT_FRAMES[label]()
         return lattice_report(label, cf)
-    raise UsageError(
-        f"unknown selector {label!r}; use simplex:k, conference:k[:pair[:variant]], "
-        "explicit:6x16, or explicit:7x28")
+    raise UsageError(f"unknown selector {label!r}; use {_SELECTOR_GRAMMAR}")
 
 
 def _analyze_text(report: dict) -> str:
@@ -250,25 +251,26 @@ def _analyze_text(report: dict) -> str:
 
 # --- table1 --------------------------------------------------------------------
 
-# (family, k, n, analyze selector); no selector where the frame spans no lattice.
-# The generic (k+1,k) family is instantiated at k = 4.
-TABLE1_FAMILIES = (
-    ("(k+1,k) k=4", 4, 5, "simplex:4"),
-    ("(3,6)", 3, 6, None),
-    ("(5,10)", 5, 10, "conference:5:0:plus"),
-    ("(6,16)", 6, 16, "explicit:6x16"),
-    ("(7,14)", 7, 14, None),
-    ("(7,28)", 7, 28, "explicit:7x28"),
-    ("(9,18)", 9, 18, None),
-    ("(13,26)", 13, 26, "conference:13:0"),
-    ("(25,50)", 25, 50, "conference:25:0"),
+
+def _simplex_volume(k: int) -> SurdValue:
+    return sqrt_rational(Fraction(1, k + 1) * Fraction(k + 1, k) ** k)
+
+
+# The paper's families: (name, k, n, analyze selector, volume of a lattice whose
+# minimal vectors are exactly +- the frame).  No selector or volume where alpha
+# is irrational, so the frame spans no lattice.  (k+1,k) is shown at k = 4.
+FAMILIES = (
+    ("(k+1,k) k=4", 4, 5, "simplex:4", _simplex_volume(4)),
+    ("(3,6)", 3, 6, None, None),
+    ("(5,10)", 5, 10, "conference:5:0:plus", SurdValue(Fraction(4, 9))),
+    ("(6,16)", 6, 16, "explicit:6x16", SurdValue(Fraction(8, 27))),  # det(B'B) = 2^6/3^6
+    ("(7,14)", 7, 14, None, None),
+    ("(7,28)", 7, 28, "explicit:7x28", SurdValue(Fraction(8, 81), 3)),  # det(B'B) = 2^6/3^7
+    ("(9,18)", 9, 18, None, None),
+    ("(13,26)", 13, 26, "conference:13:0", SurdValue(Fraction(64, 3125), 5)),
+    ("(25,50)", 25, 50, "conference:25:0", SurdValue(Fraction(2**12, 7**8))),
 )
-
-
-def _cosine_surd(k: int, n: int) -> SurdValue:
-    alpha = lattice.alpha_gate(k, n).alpha
-    # 1/(c*sqrt(m)) = (1/(c*m)) * sqrt(m)
-    return SurdValue(Fraction(1) / (alpha.coeff * alpha.radicand), alpha.radicand)
+_VOLUMES = {(k, n): volume for _, k, n, _, volume in FAMILIES}
 
 
 def table1_rows(cfg: RunConfig) -> list:
@@ -276,9 +278,9 @@ def table1_rows(cfg: RunConfig) -> list:
         raise UsageError(f"table1 reads pairs of several orders, so --cache must name a directory "
                          f"(an existing one, or a path ending in {os.sep!r}), not {cfg.cache_path!r}")
     rows = []
-    for family, k, n, selector in TABLE1_FAMILIES:
+    for family, k, n, selector, _ in FAMILIES:
         report = analyze_selector(selector, cfg) if selector else {}
-        cosine = _cosine_surd(k, n)
+        cosine = sqrt_rational(1 / frames.frame_alpha(k, n).squared())
         rows.append({
             "family": family,
             "k": k,
@@ -392,24 +394,22 @@ def _demo_text(report: dict) -> str:
 
 
 def _check_alpha_gate():
-    non_lattices = [(3, 6), (7, 14), (9, 18)]
-    lattices = [(5, 10), (6, 16), (7, 28), (13, 26), (25, 50)]
-    for k, n in non_lattices:
-        v = lattice.alpha_gate(k, n)
-        if v.is_lattice or v.alpha.radicand == 1:
-            return False, f"expected irrational alpha for ({k},{n})"
-    for k, n in lattices:
-        v = lattice.alpha_gate(k, n)
-        if not v.is_lattice or v.alpha.radicand != 1:
-            return False, f"expected rational alpha for ({k},{n})"
-    return True, "irrational alpha for (3,6),(7,14),(9,18); rational for the 5 lattice families"
+    for _, k, n, selector, _ in FAMILIES:
+        if lattice.alpha_gate(k, n).is_lattice != (selector is not None):
+            return False, f"expected {'rational' if selector else 'irrational'} alpha for ({k},{n})"
+    irrational = ",".join(f"({k},{n})" for _, k, n, selector, _ in FAMILIES if selector is None)
+    # the simplex, rational for every k, is not counted among the lattice families
+    others = sum(selector is not None and n != k + 1 for _, k, n, selector, _ in FAMILIES)
+    return True, f"irrational alpha for {irrational}; rational for the {others} lattice families"
 
 
-def _frame_minimal(k: int, n: int, volume: SurdValue) -> dict:
+def _frame_minimal(k: int, n: int) -> dict:
     """The analyze fields of a (k, n) frame lattice whose minimal vectors are
-    exactly +- the frame: 2n vectors at norm 1 holding a basis, strongly
-    eutactic with Parseval constant 2n/k (a unit tight frame), perfection rank
-    n, perfect exactly when n = k(k+1)/2."""
+    exactly +- the frame: the table's volume (the simplex formula for n = k + 1),
+    2n vectors at norm 1 holding a basis, strongly eutactic with Parseval
+    constant 2n/k (a unit tight frame), perfection rank n, perfect exactly when
+    n = k(k+1)/2."""
+    volume = _simplex_volume(k) if n == k + 1 else _VOLUMES[k, n]
     return {
         "detSurd": _surd_obj(volume),
         "minNormSq": "1",
@@ -432,8 +432,7 @@ def _mismatch(record: dict, want: dict) -> str:
 def _check_simplex():
     for k in range(2, 13):
         _, cf = frames.simplex_frame(k)
-        volume = sqrt_rational(Fraction(1, k + 1) * Fraction(k + 1, k) ** k)
-        if bad := _mismatch(lattice_report(f"simplex:{k}", cf), _frame_minimal(k, k + 1, volume)):
+        if bad := _mismatch(lattice_report(f"simplex:{k}", cf), _frame_minimal(k, k + 1)):
             return False, f"k={k}: {bad}"
     return True, "k = 2..12: determinant formula, 2(k+1) minimal = frame, eutactic, rank k+1"
 
@@ -466,7 +465,7 @@ def _check_5_10():
             return False, "det D = +-48 / det(3I+A) = 48 violated"
         if not facts["nIntegral"] or not facts["nInverseIntegral"]:
             return False, "N and N^-1 should both be integral at k = 5"
-    want = _frame_minimal(5, 10, SurdValue(Fraction(4, 9), 1))
+    want = _frame_minimal(5, 10)
     grams = []
     for i, p in enumerate(pairs):
         _, cf = frames.conference_frame(p, "plus")
@@ -493,7 +492,7 @@ def _check_13_26():
             return False, "det(5I+-A) != 2560000 on the integral side"
     if sum(n_int) != 6 or sum(inv_int) != 6 or any(a and b for a, b in zip(n_int, inv_int)):
         return False, "expected a clean 6 / 6 split of N vs N^-1 integrality"
-    want = _frame_minimal(13, 26, SurdValue(Fraction(64, 3125), 5))
+    want = _frame_minimal(13, 26)
     for i, p in enumerate(pairs):
         _, cf = frames.conference_frame(p, frames.preferred_variant(p))
         grams.append(lattice.lattice_model(cf).gram)
@@ -540,9 +539,9 @@ def _check_25_50_lattice(cfg):
         if not (facts["nIntegral"] and facts["nInverseIntegral"]):
             return False, "N and N^-1 should both be integral at k = 25"
     models = [lattice.lattice_model(frames.conference_frame(p, "plus")[1]) for p in ordered[:10]]
-    det = float(lattice.lattice_determinant(models[0]))
-    if abs(det - 0.00071052) > 1e-8:
-        return False, f"determinant decimal {det} != 0.00071052 within 1e-8"
+    det, want = lattice.lattice_determinant(models[0]), _VOLUMES[25, 50]
+    if det != want:
+        return False, f"determinant {det} != {want}"
     classes = lattice.equivalence_classes([m.gram for m in models])
     if classes != [[i] for i in range(10)]:
         return False, f"expected 10 singleton classes, got {classes}"
@@ -553,8 +552,8 @@ def _check_6_16():
     _, cf = frames.frame_6_16()
     if tuple(cf.basis_indices) != (1, 2, 3, 4, 5, 9):
         return False, "expected the basis {1,2,3,4,5,9}"
-    # det(B'B) = 2^6/3^6; beta = 1 means integer coordinates over that basis
-    want = {"beta": 1, **_frame_minimal(6, 16, SurdValue(Fraction(8, 27), 1))}
+    # beta = 1 means integer coordinates over that basis
+    want = {"beta": 1, **_frame_minimal(6, 16)}
     if bad := _mismatch(lattice_report("explicit:6x16", cf), want):
         return False, bad
     return True, "integer basis, det 2^6/3^6, 32 minimal = frame, basis of minimal vectors"
@@ -563,8 +562,7 @@ def _check_6_16():
 def _check_7_28():
     _, cf = frames.frame_7_28()
     record = lattice_report("explicit:7x28", cf)
-    # det(B'B) = 2^6/3^7
-    want = {**_frame_minimal(7, 28, SurdValue(Fraction(8, 81), 3)), "detD": 3 * 2**159}
+    want = {**_frame_minimal(7, 28), "detD": 3 * 2**159}
     if bad := _mismatch(record, want):
         return False, bad
     cert = geometry.perfection_certificate_matrix_7_28()
@@ -759,7 +757,8 @@ _CACHE_FLAGS = (
     ("--no-cache", {"action": "store_true", "help": "neither read nor write the pair cache"}),
 )
 _UNVERIFIED_FLAG = (
-    ("--allow-unverified", {"action": "store_true", "help": "permit searches outside k in {5, 13, 25}"}),
+    ("--allow-unverified", {"action": "store_true", "help": "permit searches outside k in "
+                            f"{{{', '.join(map(str, KNOWN_SEARCH_SIZES))}}}"}),
 )
 
 COMMANDS = {
@@ -773,8 +772,7 @@ COMMANDS = {
         lambda args, cfg: search_report(args.k, cfg), _search_table, _search_text),
     "analyze": Command(
         "full analysis of one frame selector",
-        (("selector", {"help": "simplex:k | conference:k[:pair[:variant]] | "
-                               "explicit:6x16 | explicit:7x28"}),
+        (("selector", {"help": _SELECTOR_GRAMMAR}),
          *_CACHE_FLAGS, *_UNVERIFIED_FLAG),
         lambda args, cfg: analyze_selector(args.selector, cfg),
         lambda record: _surd_table([record]), _analyze_text),

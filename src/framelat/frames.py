@@ -290,7 +290,8 @@ def _explicit_frame(vectors, k: int, basis: tuple | None = None) -> tuple[FrameS
         row = []
         for j, w in enumerate(vectors):
             v = alpha * F(sum(x * y for x, y in zip(u, w)), scale) - (alpha if i == j else 0)
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise ValueError(f"Seidel entry ({i}, {j}) = {v} is not an integer")
             row.append(int(v))
         seidel.append(row)
     spec = FrameSpec(k=k, n=len(vectors), seidel=seidel)

@@ -48,6 +48,26 @@ def test_table1_text_matches_reference_rows(capsys):
     assert out.count("and perfect") == 1
 
 
+def test_table1_volumes_are_the_table_closed_forms(capsys):
+    code, out, _ = run(capsys, "table1", "--format", "json")
+    assert code == 0
+    rows = {row["family"]: row for row in json.loads(out)["rows"]}
+    lattices = [row for row in cli.FAMILIES if row[3] is not None]
+    assert len(lattices) == 6
+    for family, _, _, _, volume in lattices:
+        want = {"coeff": str(volume.coeff), "radicand": volume.radicand}
+        assert rows[family]["volumeSurd"] == want, family
+
+
+@pytest.mark.parametrize("k, n, selector", [(7, 14, "conference:7"), (13, 26, None)])
+def test_alpha_gate_check_fails_when_the_table_disagrees(monkeypatch, k, n, selector):
+    wrong = tuple((row[0], k, n, selector, row[4]) if row[1:3] == (k, n) else row
+                  for row in cli.FAMILIES)
+    monkeypatch.setattr(cli, "FAMILIES", wrong)
+    ok, detail = cli._check_alpha_gate()
+    assert not ok and f"({k},{n})" in detail, detail
+
+
 def test_table1_csv_has_one_line_per_family(capsys):
     code, out, _ = run(capsys, "table1", "--format", "csv")
     assert code == 0
@@ -356,6 +376,22 @@ def test_flags_outside_their_commands_are_usage_errors(capsys, argv):
         cli.main(list(argv))
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: framelat {command}")
+
+
+def test_analyze_help_names_every_explicit_frame(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["analyze", "--help"])
+    out = capsys.readouterr().out
+    for label in cli.EXPLICIT_FRAMES:
+        assert label in out, label
 
 
 def test_cli_import_loads_no_numpy():

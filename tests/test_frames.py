@@ -20,6 +20,7 @@ from framelat.exact import SurdValue, bareiss_determinant, clear_denominators, m
 from framelat.frames import (
     FrameSpec,
     IrrationalAlphaError,
+    _explicit_frame,
     basis_gram,
     conference_data,
     conference_frame,
@@ -235,6 +236,13 @@ def test_frame_7_28():
     assert det_of_basis_gram(cf) == F(2 ** 6, 3 ** 7)
     assert gram_consistency_holds(cf)
     assert validate_frame(spec).all_ok
+
+
+def test_explicit_frame_rejects_a_non_integer_seidel_entry():
+    # the vectors differ in length, so the entry at (1, 1) is alpha/4 - alpha = -3/2;
+    # the check must raise under python -O too, where an assert would be removed
+    with pytest.raises(ValueError, match="not an integer"):
+        _explicit_frame([[2, 0], [1, 0], [0, 1]], 2)
 
 
 def test_greedy_basis_simplex():
