@@ -545,7 +545,7 @@ def _check_25_50_lattice(cfg):
     classes = lattice.equivalence_classes([m.gram for m in models])
     if classes != [[i] for i in range(10)]:
         return False, f"expected 10 singleton classes, got {classes}"
-    return True, "B_j = B_(j+10) pairing, determinant decimal, 10 singleton classes"
+    return True, "B_j = B_(j+10) pairing, det 2^12/7^8 exactly, 10 singleton classes"
 
 
 def _check_6_16():
@@ -592,7 +592,7 @@ def _check_oracle_equivalence():
         fast = set(lattice.enumerate_short_vectors(model, Fraction(1)))
         slow = set(lattice.brute_force_short_vectors(model, Fraction(1)))
         if fast != slow:
-            return False, f"{label}: recursive and brute-force enumerations differ"
+            return False, f"{label}: recursive and brute-force vectors or norms differ"
     return True, f"recursive = brute-force enumeration on {len(models)} lattices at bound 1"
 
 

@@ -5,8 +5,9 @@ spherical 2-design, i.e. they sum to zero and satisfy a Parseval-type
 identity sum(x x') = c * Q^{-1} in basis coordinates.  It is perfect when
 the rank-one forms x x' of the minimal vectors span the full space of
 symmetric k x k matrices.  Both tests run on integers: eutaxy against the
-model's Gram scaled to integers, perfection as the rank of integer rank-one
-forms.  Each returns only what a caller cannot derive: the Parseval constant
+model's Gram scaled to integers, perfection as the rank of the n x n Gram
+matrix of those forms, whose entries are the squared dot products (x·y)².
+Each returns only what a caller cannot derive: the Parseval constant
 c (None when not strongly eutactic) and the rank (perfect exactly when it is
 k(k+1)/2).
 
@@ -18,6 +19,7 @@ carried by the 28-vector frame, entirely in integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .exact import bareiss_determinant, clear_denominators, matrix_rank, transpose
 from .frames import scaled_vectors_7_28
@@ -36,19 +38,29 @@ def strong_eutaxy_check(model: LatticeModel, report: MinVecReport) -> Fraction |
     vectors themselves vanishes identically because the set is closed under
     negation.
     """
-    k = model.k
     vecs = report.vectors
-    s = [[2 * sum(x[i] * x[j] for x in vecs) for j in range(k)] for i in range(k)]
+    if not vecs:
+        return None
     scale, q = clear_denominators(model.gram)
-    # q is symmetric, so its rows serve as its columns
-    sq = [[sum(a * b for a, b in zip(row, col)) for col in q] for row in s]
+    # S = 2·X'X for the rows x of X, so S is twice the dot-product Gram of the
+    # columns of X; q is symmetric, so its rows serve as its columns
+    sq = [[2 * sum(map(mul, row, col)) for col in q] for row in _dot_gram(list(zip(*vecs)))]
     c = sq[0][0]
     is_parseval = c > 0 and all(
-        sq[i][j] == (c if i == j else 0) for i in range(k) for j in range(k)
+        e == (c if i == j else 0) for i, row in enumerate(sq) for j, e in enumerate(row)
     )
     # Each stored representative stands for the pair {x, -x}, so the signed
     # sum telescopes to the zero vector with no computation needed.
     return Fraction(c, scale) if is_parseval else None
+
+
+def _dot_gram(rows: list) -> list:
+    """The symmetric matrix of dot products of the rows, filled from its upper triangle."""
+    g = [[0] * len(rows) for _ in rows]
+    for i, x in enumerate(rows):
+        for j in range(i, len(rows)):
+            g[i][j] = g[j][i] = sum(map(mul, x, rows[j]))
+    return g
 
 
 def _lower_triangle(x: list, k: int) -> list:
@@ -59,12 +71,16 @@ def _lower_triangle(x: list, k: int) -> list:
 def perfection_rank(model: LatticeModel, report: MinVecReport) -> int:
     """Rank of the span of the rank-one forms x x' over the minimal vectors.
 
-    Works with the lower-triangle vectorization (dimension k(k+1)/2); the
-    lattice is perfect exactly when that rank is full.  The rank does not
-    depend on the coordinate basis, since a basis change maps x x' to
-    (Ux)(Ux)' which is a linear bijection on symmetric matrices.
+    The lattice is perfect exactly when the rank is k(k+1)/2.  With V the
+    matrix whose rows vectorize the forms, <x x', y y'> = (x·y)² in the
+    trace inner product, so VV' is the n x n matrix H of squared dot products,
+    and rank V = rank VV' over the rationals.  Any injective vectorization of
+    symmetric matrices (such as _lower_triangle) gives the same rank.  The
+    rank depends on the vectors only, not on the Gram in ``model``, and not on
+    the coordinate basis: a basis change maps x x' to (Ux)(Ux)', a linear
+    bijection on symmetric matrices.
     """
-    return matrix_rank([_lower_triangle(x, model.k) for x in report.vectors])
+    return matrix_rank([[d * d for d in row] for row in _dot_gram(report.vectors)])
 
 
 # --- 28x28 perfection certificate for the (7,28) lattice ----------------------

@@ -9,7 +9,9 @@ integers.  The search walks half the tree: while every coordinate above level
 j is 0, x_j starts at 0, so it yields exactly the one of x and -x whose topmost
 nonzero coordinate is positive, and _canonical maps that one to the same
 representative as the other.  Partial centres are summed over the nonzero
-coordinates only.  The search is cross-checked elsewhere against a certified
+coordinates only.  Each leaf's remainder gives its exact norm, so the search
+returns (vector, norm) pairs and nothing recomputes a norm from the Gram.  The
+search is cross-checked elsewhere, vectors and norms, against a certified
 brute-force box scan.  A MinVecReport keeps the minimum and one representative
 per +- pair; the count with signs is twice their number.
 """
@@ -30,7 +32,6 @@ from .exact import (
     SizeMismatchError,
     SurdValue,
     bareiss_determinant,
-    clear_denominators,
     floor_sqrt,
     ldl_decompose,
     mat_inverse,
@@ -120,9 +121,11 @@ def enumerate_short_vectors(model: LatticeModel, bound_sq) -> list:
     s_j = Σ_{i>j} u_j[i] x_i, summed over the levels i with x_i != 0.  Depth
     first over x_{k-1}..x_0, level j keeps |Δ_{j+1} x_j + s_j| <= isqrt(rem // w_j),
     and x_j >= 0 while x_{j+1..k-1} are all 0.  Of x and -x exactly one has a
-    positive topmost nonzero coordinate, so each pair is visited once.  Returns
-    the canonical representatives (first nonzero coordinate positive), sorted
-    lexicographically.
+    positive topmost nonzero coordinate, so each pair is visited once.  A leaf
+    keeps rem = top - Σ_j w_j t_j² = top - M·x'(scale·gram)x, so its norm
+    (top - rem) / (M·scale) is exact.  Returns (x, x'·gram·x) pairs, x the
+    canonical representative (first nonzero coordinate positive) and the norm
+    a Fraction, sorted lexicographically by x.
     """
     k = model.k
     dec = model.ldl
@@ -138,7 +141,7 @@ def enumerate_short_vectors(model: LatticeModel, bound_sq) -> list:
     def descend(j: int, rem: int) -> None:
         if j < 0:
             if nonzero:
-                out.append(_canonical(x))
+                out.append((_canonical(x), rem))
             return
         row = u[j]
         s = sum(row[i] * x[i] for i in nonzero)
@@ -155,12 +158,14 @@ def enumerate_short_vectors(model: LatticeModel, bound_sq) -> list:
             else:
                 descend(j - 1, rem - w[j] * t * t)
 
-    descend(k - 1, m * max(0, bound.numerator // bound.denominator))
-    return sorted(out)
+    top = m * max(0, bound.numerator // bound.denominator)
+    descend(k - 1, top)
+    return [(v, F(top - rem, m * dec.scale)) for v, rem in sorted(out)]
 
 
 def minimal_vectors(model: LatticeModel) -> MinVecReport:
-    """Exact minimum norm and all attaining vectors.
+    """Exact minimum norm and all attaining vectors, read off the search's
+    (x, norm) pairs.
 
     The enumeration bound is the smallest Gram diagonal entry — a valid upper
     bound for the minimum since unit coordinate vectors are lattice vectors
@@ -168,12 +173,8 @@ def minimal_vectors(model: LatticeModel) -> MinVecReport:
     """
     bound = min(model.gram[i][i] for i in range(model.k))
     short = enumerate_short_vectors(model, bound)
-    scale, q = clear_denominators(model.gram)
-    norms = [sum(xi * sum(e * xj for e, xj in zip(row, x)) for xi, row in zip(x, q))
-             for x in short]
-    least = min(norms)
-    vecs = [v for v, t in zip(short, norms) if t == least]
-    return MinVecReport(min_norm_sq=F(least, scale), vectors=vecs)
+    least = min(t for _, t in short)
+    return MinVecReport(min_norm_sq=least, vectors=[v for v, t in short if t == least])
 
 
 def _canonical(v) -> tuple:
@@ -234,7 +235,8 @@ def brute_force_short_vectors(model: LatticeModel, bound_sq) -> list:
     Coordinates are bounded by the dual certificate |x_i| <= sqrt(bound ·
     (Q^{-1})_ii), valid because x_i = e_i' Q^{-1} (Qx) and Cauchy-Schwarz in
     the Q-inner product gives x_i² <= (Q^{-1})_ii · x'Qx.  The scan runs on
-    Python integers after clearing denominators.
+    Python integers after clearing denominators.  Returns the same (x, x'Qx)
+    pairs as enumerate_short_vectors, each norm computed by the scan itself.
     """
     gram = model.gram
     k = model.k
@@ -252,14 +254,15 @@ def brute_force_short_vectors(model: LatticeModel, bound_sq) -> list:
     # per head h over the last coordinate t
     *head_radii, r_last = radii
     q_last = q_int[-1]
-    canon = set()
+    canon = {}
     for head in product(*(range(-r, r + 1) for r in head_radii)):
         base = sum(hi * sum(q * hj for q, hj in zip(row, head)) for hi, row in zip(head, q_int))
         lin = 2 * sum(q * hj for q, hj in zip(q_last, head))
         for t in range(-r_last, r_last + 1):
-            if base + t * (lin + q_last[-1] * t) <= bound_int and (t or any(head)):
-                canon.add(_canonical(head + (t,)))
-    return sorted(canon)
+            norm = base + t * (lin + q_last[-1] * t)
+            if norm <= bound_int and (t or any(head)):
+                canon[_canonical(head + (t,))] = F(norm, den)
+    return sorted(canon.items())
 
 
 def packing_density(model: LatticeModel, report: MinVecReport) -> float:

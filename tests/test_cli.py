@@ -330,9 +330,9 @@ PINNED_SHA256 = {
         "text": "527ced5801585441168a83878a77738c4b262a6bb0fd5de5cc2ed6582aaec466",
     },
     ("verify-all",): {
-        "json": "d950f5e60779de78b970229424b6151c7c4686e1bf09a47c31b290c87419d156",
-        "csv": "d5b8bdfe8b393719a929dee0f36d3867da5ea95a14bbe995b3f9dd835891d469",
-        "text": "f2f3734de56720695f21b7cd9e40e38e691a4415402e30e0ab6c67f237c7b230",
+        "json": "5a30b0a9914e438f9802ce28bd710a8cc64fb60e37dbf5c914c7c4921dc18cda",
+        "csv": "2d1841e9ba77d62d1f0f33cd418d0264c4956d76391c8f295919b578ecf7d4ce",
+        "text": "cd7bcd186cd0a7a3b1e70bcf97883f16954345c2167db99c3be1607d83f363ad",
     },
     ("demo-nonlattice", "7"): {
         "json": "9d57e567e5c475fe4e8d21124c50f1150c402459a706f0dac044b66d964237ec",

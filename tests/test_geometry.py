@@ -5,7 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from framelat import circulant, frames, geometry, lattice
+from framelat.exact import matrix_rank
+from test_circulant import CACHE_25
 
 # Reference entries for the certificate matrix: column j stacks the
 # on-or-below-diagonal entries of w_j w_j' for the transformed frame vector
@@ -135,6 +139,64 @@ def test_rank_invariant_under_unimodular_change_of_coordinates():
                  for x in rep.vectors]
         fake = lattice.MinVecReport(min_norm_sq=rep.min_norm_sq, vectors=moved)
         assert geometry.perfection_rank(model, fake) == base_rank
+
+
+def lower_triangle_rank(k, vectors):
+    """The rank straight from its definition: one row of k(k+1)/2 entries per form."""
+    return matrix_rank([geometry._lower_triangle(x, k) for x in vectors])
+
+
+def identity_model(k):
+    return lattice.LatticeModel(k=k, gram=[[Fraction(int(i == j)) for j in range(k)]
+                                           for i in range(k)])
+
+
+def every_family():
+    for k in range(2, 10):
+        yield frames.simplex_frame(k)[1]
+    for p in circulant.search_conference_pairs(5):
+        for variant in ("plus", "minus"):
+            yield frames.conference_frame(p, variant)[1]
+    for pairs in (circulant.search_conference_pairs(13), circulant.load_pairs(str(CACHE_25), 25)):
+        yield frames.conference_frame(pairs[0], frames.preferred_variant(pairs[0]))[1]
+    yield frames.frame_6_16()[1]
+    yield frames.frame_7_28()[1]
+
+
+def test_rank_equals_lower_triangle_rank_on_every_family():
+    for cf in every_family():
+        model, rep = model_and_minima(cf)
+        assert geometry.perfection_rank(model, rep) == lower_triangle_rank(model.k, rep.vectors)
+
+
+def test_rank_with_more_minimal_vectors_than_forms_d4():
+    # the Cartan matrix of D4: 12 minimal pairs against 10 forms, and D4 is perfect
+    cartan = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+    model = lattice.LatticeModel(k=4, gram=[[Fraction(v) for v in row] for row in cartan])
+    rep = lattice.minimal_vectors(model)
+    assert (rep.min_norm_sq, len(rep.vectors)) == (2, 12)
+    assert geometry.perfection_rank(model, rep) == lower_triangle_rank(4, rep.vectors) == 10
+
+
+@pytest.mark.parametrize("vectors, rank", [
+    ([(1, 0, 0), (2, 0, 0)], 1),  # x and 2x
+    ([(1, 1, 0), (1, 1, 0), (0, 1, 0)], 2),  # a repeated vector
+    ([(1, 2, -1), (2, 4, -2), (0, 1, 1), (0, 1, 1), (1, 0, 0)], 3),
+    ([(1, 0), (0, 1), (1, 1), (1, -1)], 3),  # n > k(k+1)/2
+])
+def test_rank_of_dependent_sets(vectors, rank):
+    k = len(vectors[0])
+    fake = lattice.MinVecReport(min_norm_sq=Fraction(1), vectors=vectors)
+    assert geometry.perfection_rank(identity_model(k), fake) == lower_triangle_rank(k, vectors) == rank
+
+
+def test_rank_equals_lower_triangle_rank_random():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        vectors = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(1, 20))]
+        fake = lattice.MinVecReport(min_norm_sq=Fraction(1), vectors=vectors)
+        assert geometry.perfection_rank(identity_model(k), fake) == lower_triangle_rank(k, vectors)
 
 
 def test_empty_report_has_rank_zero():

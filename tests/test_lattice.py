@@ -187,13 +187,13 @@ def random_unimodular(rng, k):
 
 def test_enumerate_identity_gram():
     model = model_from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert enumerate_short_vectors(model, 1) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert enumerate_short_vectors(model, 1) == [((0, 0, 1), 1), ((0, 1, 0), 1), ((1, 0, 0), 1)]
 
 
 def test_enumerate_respects_bound():
     model = model_from_gram([[1, 0], [0, 1]])
     found = enumerate_short_vectors(model, 2)
-    assert set(found) == {(0, 1), (1, 0), (1, 1), (1, -1)}
+    assert dict(found) == {(0, 1): 1, (1, 0): 1, (1, 1): 2, (1, -1): 2}
 
 
 def test_enumerate_rejects_semidefinite():
@@ -284,7 +284,7 @@ def test_brute_force_matches_fincke_pohst_random():
         found = enumerate_short_vectors(model, bound)
         assert brute_force_short_vectors(model, bound) == found
         if trial % 3 == 2:
-            assert tuple(y) in found or tuple(-v for v in y) in found
+            assert (tuple(y), bound) in found or (tuple(-v for v in y), bound) in found
 
 
 def test_brute_force_named_lattices():
@@ -310,15 +310,17 @@ def norm(model, x):
 
 def assert_enumeration_invariants(model, bound):
     found = enumerate_short_vectors(model, bound)
-    assert len(set(found)) == len(found)
-    assert all(next(v for v in x if v) > 0 for x in found)
+    vectors = [x for x, _ in found]
+    assert len(set(vectors)) == len(vectors)
+    assert all(next(v for v in x if v) > 0 for x in vectors)
+    assert all(t == norm(model, x) <= bound for x, t in found)
     assert found == brute_force_short_vectors(model, bound)
-    return found
+    return vectors
 
 
 def test_enumeration_invariants_random():
-    # one representative per +- pair, first nonzero coordinate positive, and
-    # the oracle's list, for integer, fractional and attained bounds up to k = 7
+    # one representative per +- pair, first nonzero coordinate positive, its
+    # exact norm, and the oracle's list, for integer, fractional and attained bounds up to k = 7
     rng = random.Random(1985)
     for trial in range(90):
         k = rng.randint(1, 7)
@@ -372,7 +374,9 @@ def test_minimum_below_the_smallest_diagonal_entry():
         q = mat_mul(transpose(u), [[d[i] * v for v in row] for i, row in enumerate(u)])
         model = model_from_gram(q)
         least_diagonal = min(q[i][i] for i in range(k))
-        norms = {x: norm(model, x) for x in brute_force_short_vectors(model, least_diagonal)}
+        short = brute_force_short_vectors(model, least_diagonal)
+        norms = {x: norm(model, x) for x, _ in short}
+        assert dict(short) == norms
         least = min(norms.values())
         rep = minimal_vectors(model)
         assert rep.min_norm_sq == least
@@ -408,7 +412,7 @@ def test_simplex_norm_inequality_with_equality_on_minimal():
         _, cf = simplex_frame(k)
         model = lattice_model(cf)
         minimal = set(minimal_vectors(model).vectors)
-        box = brute_force_short_vectors(model, 4)
+        box = [x for x, _ in brute_force_short_vectors(model, 4)]
         assert len(box) > len(minimal)
         for x in box:
             s1 = sum(v * v for v in x)
