@@ -36,7 +36,13 @@ from itertools import product
 from operator import add, mul, neg
 from typing import NamedTuple
 
-from .exact import Rational, SizeMismatchError, bareiss_determinant, determinant_and_solution
+from .exact import (
+    Rational,
+    SingularMatrixError,
+    SizeMismatchError,
+    bareiss_determinant,
+    determinant_and_solution,
+)
 
 Row = tuple  # first row of a circulant; entries int or Fraction
 
@@ -45,12 +51,9 @@ class MalformedPatternError(ValueError):
     """Sign pattern violates the (aRow, dRow) shape constraints."""
 
 
-class SingularCirculantError(ZeroDivisionError):
-    """The circulant has no inverse."""
-
-
 class CacheCorruptError(ValueError):
-    """A pair-cache file failed schema or conference validation."""
+    """A pair-cache file cannot be read or written, or failed schema or
+    conference validation."""
 
 
 class ConferencePair(NamedTuple):
@@ -286,7 +289,7 @@ def circulant_inverse(row: Row) -> Row:
     """First row of the inverse circulant, exact: the y with conv(y, row) = e0."""
     rows = circulant_solve(row, [(1,) + (0,) * (len(row) - 1)])[1]
     if rows is None:
-        raise SingularCirculantError("circulant is singular")
+        raise SingularMatrixError("circulant is singular")
     return rows[0]
 
 
@@ -300,11 +303,11 @@ def compute_N(p: ConferencePair, alpha: Rational) -> Row:
 
     This is D^{-1}(A - alpha·I) whenever D is invertible, since commuting
     circulants with A² + D² = alpha²·I have D² = (alpha·I - A)(alpha·I + A).
-    A singular alpha·I + A raises SingularCirculantError.
+    A singular alpha·I + A raises SingularMatrixError.
     """
     rows = circulant_solve(add_scalar(p.a_row, alpha), [tuple(-v for v in p.d_row)])[1]
     if rows is None:
-        raise SingularCirculantError("alpha·I + A is singular")
+        raise SingularMatrixError("alpha·I + A is singular")
     return rows[0]
 
 
@@ -313,17 +316,20 @@ def compute_N(p: ConferencePair, alpha: Rational) -> Row:
 def save_pairs(path: str, k: int, pairs: list[ConferencePair]) -> None:
     """Write a pair cache atomically: a temp file beside it, then os.replace.
 
-    An interrupted write leaves any earlier cache file untouched.
+    An interrupted write leaves any earlier cache file untouched; a path that
+    cannot be written raises CacheCorruptError.
     """
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     doc = {"k": k, "pairs": [{"aRow": list(p.a_row), "dRow": list(p.d_row)} for p in pairs]}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
         with open(tmp, "w") as fh:
             json.dump(doc, fh)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise CacheCorruptError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

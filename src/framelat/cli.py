@@ -176,7 +176,7 @@ def lattice_report(label: str, cf) -> dict:
         "detFloat": float(det),
         "minNormSq": _fr(rep.min_norm_sq),
         "minVecCountWithSigns": 2 * len(rep.vectors),
-        "framesAreMinimal": lattice.frame_vectors_are_minimal(model, rep),
+        "framesAreMinimal": lattice.frame_vectors_are_minimal(cf, rep),
         "basisOfMinimalVectors": lattice.has_basis_of_minimal_vectors(model, rep),
         "density": lattice.packing_density(model, rep),
         "eutactic": parseval is not None,
@@ -190,14 +190,13 @@ def lattice_report(label: str, cf) -> dict:
 
 
 def _non_lattice_report(label: str, k: int, n: int) -> dict:
-    verdict = lattice.alpha_gate(k, n)
     return {
         "k": k,
         "n": n,
         "label": label,
         "isLattice": False,
-        "alpha": _surd_obj(verdict.alpha),
-        "reason": verdict.reason,
+        "alpha": _surd_obj(frames.frame_alpha(k, n)),
+        "reason": "IrrationalAlpha",
     }
 
 
@@ -214,13 +213,12 @@ def analyze_selector(label: str, cfg: RunConfig) -> dict:
         k = _selector_int(parts[1], "simplex size", label)
         if k < 2:
             raise UsageError("simplex needs k >= 2")
-        _, cf = frames.simplex_frame(k)
-        return lattice_report(label, cf)
+        return lattice_report(label, frames.simplex_frame(k))
     if parts[0] == "conference" and 2 <= len(parts) <= 4:
         k = _selector_int(parts[1], "conference size", label)
         if k < 3 or k % 2 == 0:
             raise UsageError("conference selectors need odd k >= 3")
-        if not lattice.alpha_gate(k, 2 * k).is_lattice:
+        if not lattice.alpha_gate(k, 2 * k):
             return _non_lattice_report(label, k, 2 * k)
         pairs, _ = load_or_search(k, cfg)
         index = _selector_int(parts[2], "pair index", label) if len(parts) >= 3 else 0
@@ -230,11 +228,9 @@ def analyze_selector(label: str, cfg: RunConfig) -> dict:
         variant = parts[3] if len(parts) == 4 else frames.preferred_variant(pair)
         if variant not in ("plus", "minus"):
             raise UsageError(f"variant must be plus or minus, got {variant!r}")
-        _, cf = frames.conference_frame(pair, variant)
-        return lattice_report(label, cf)
+        return lattice_report(label, frames.conference_frame(pair, variant))
     if label in EXPLICIT_FRAMES:
-        _, cf = EXPLICIT_FRAMES[label]()
-        return lattice_report(label, cf)
+        return lattice_report(label, EXPLICIT_FRAMES[label]())
     raise UsageError(f"unknown selector {label!r}; use {_SELECTOR_GRAMMAR}")
 
 
@@ -321,7 +317,7 @@ def search_report(k: int, cfg: RunConfig) -> dict:
         raise UsageError("search needs an odd k >= 3")
     pairs, source = load_or_search(k, cfg)
     entries = []
-    rational_alpha = lattice.alpha_gate(k, 2 * k).is_lattice
+    rational_alpha = lattice.alpha_gate(k, 2 * k)
     for i, p in enumerate(pairs):
         entry = {"index": i, "aRow": list(p.a_row), "dRow": list(p.d_row)}
         if rational_alpha:
@@ -368,7 +364,10 @@ def _search_text(report: dict) -> str:
 
 
 def demo_report(steps: int) -> dict:
-    walk = lattice.non_lattice_witness_3_6(steps)
+    try:
+        walk = lattice.non_lattice_witness_3_6(steps)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return {"steps": [
         {"step": i + 1, "coefficients": list(coeffs), "normSq": norm}
         for i, (coeffs, norm) in enumerate(walk)
@@ -395,7 +394,7 @@ def _demo_text(report: dict) -> str:
 
 def _check_alpha_gate():
     for _, k, n, selector, _ in FAMILIES:
-        if lattice.alpha_gate(k, n).is_lattice != (selector is not None):
+        if lattice.alpha_gate(k, n) != (selector is not None):
             return False, f"expected {'rational' if selector else 'irrational'} alpha for ({k},{n})"
     irrational = ",".join(f"({k},{n})" for _, k, n, selector, _ in FAMILIES if selector is None)
     # the simplex, rational for every k, is not counted among the lattice families
@@ -431,8 +430,8 @@ def _mismatch(record: dict, want: dict) -> str:
 
 def _check_simplex():
     for k in range(2, 13):
-        _, cf = frames.simplex_frame(k)
-        if bad := _mismatch(lattice_report(f"simplex:{k}", cf), _frame_minimal(k, k + 1)):
+        if bad := _mismatch(lattice_report(f"simplex:{k}", frames.simplex_frame(k)),
+                            _frame_minimal(k, k + 1)):
             return False, f"k={k}: {bad}"
     return True, "k = 2..12: determinant formula, 2(k+1) minimal = frame, eutactic, rank k+1"
 
@@ -468,8 +467,8 @@ def _check_5_10():
     want = _frame_minimal(5, 10)
     grams = []
     for i, p in enumerate(pairs):
-        _, cf = frames.conference_frame(p, "plus")
-        grams.append(lattice.lattice_model(cf).gram)
+        cf = frames.conference_frame(p, "plus")
+        grams.append(frames.basis_gram(cf))
         if bad := _mismatch(lattice_report(f"conference:5:{i}:plus", cf), want):
             return False, f"pair {i}: {bad}"
     if lattice.scalar_orthogonal_equivalence(grams[0], grams[2]) is not None:
@@ -494,8 +493,8 @@ def _check_13_26():
         return False, "expected a clean 6 / 6 split of N vs N^-1 integrality"
     want = _frame_minimal(13, 26)
     for i, p in enumerate(pairs):
-        _, cf = frames.conference_frame(p, frames.preferred_variant(p))
-        grams.append(lattice.lattice_model(cf).gram)
+        cf = frames.conference_frame(p, frames.preferred_variant(p))
+        grams.append(frames.basis_gram(cf))
         if bad := _mismatch(lattice_report(f"conference:13:{i}", cf), want):
             return False, f"pair {i}: {bad}"
     classes = lattice.equivalence_classes(grams)
@@ -538,7 +537,7 @@ def _check_25_50_lattice(cfg):
         facts = _pair_facts(p)
         if not (facts["nIntegral"] and facts["nInverseIntegral"]):
             return False, "N and N^-1 should both be integral at k = 25"
-    models = [lattice.lattice_model(frames.conference_frame(p, "plus")[1]) for p in ordered[:10]]
+    models = [lattice.lattice_model(frames.conference_frame(p, "plus")) for p in ordered[:10]]
     det, want = lattice.lattice_determinant(models[0]), _VOLUMES[25, 50]
     if det != want:
         return False, f"determinant {det} != {want}"
@@ -549,7 +548,7 @@ def _check_25_50_lattice(cfg):
 
 
 def _check_6_16():
-    _, cf = frames.frame_6_16()
+    cf = frames.frame_6_16()
     if tuple(cf.basis_indices) != (1, 2, 3, 4, 5, 9):
         return False, "expected the basis {1,2,3,4,5,9}"
     # beta = 1 means integer coordinates over that basis
@@ -560,8 +559,7 @@ def _check_6_16():
 
 
 def _check_7_28():
-    _, cf = frames.frame_7_28()
-    record = lattice_report("explicit:7x28", cf)
+    record = lattice_report("explicit:7x28", frames.frame_7_28())
     want = {**_frame_minimal(7, 28), "detD": 3 * 2**159}
     if bad := _mismatch(record, want):
         return False, bad
@@ -577,23 +575,17 @@ def _check_7_28():
 
 
 def _check_oracle_equivalence():
-    models = []
-    for k in range(2, 8):
-        _, cf = frames.simplex_frame(k)
-        models.append((f"simplex:{k}", lattice.lattice_model(cf)))
+    cfs = [(f"simplex:{k}", frames.simplex_frame(k)) for k in range(2, 8)]
     p = circulant.search_conference_pairs(5)[0]
-    for variant in ("plus", "minus"):
-        _, cf = frames.conference_frame(p, variant)
-        models.append((f"conference:5:0:{variant}", lattice.lattice_model(cf)))
-    for label, build in EXPLICIT_FRAMES.items():
-        _, cf = build()
-        models.append((label, lattice.lattice_model(cf)))
-    for label, model in models:
+    cfs += [(f"conference:5:0:{v}", frames.conference_frame(p, v)) for v in ("plus", "minus")]
+    cfs += [(label, build()) for label, build in EXPLICIT_FRAMES.items()]
+    for label, cf in cfs:
+        model = lattice.lattice_model(cf)
         fast = set(lattice.enumerate_short_vectors(model, Fraction(1)))
         slow = set(lattice.brute_force_short_vectors(model, Fraction(1)))
         if fast != slow:
             return False, f"{label}: recursive and brute-force vectors or norms differ"
-    return True, f"recursive = brute-force enumeration on {len(models)} lattices at bound 1"
+    return True, f"recursive = brute-force enumeration on {len(cfs)} lattices at bound 1"
 
 
 def _random_pd_gram(rng, k):
@@ -660,10 +652,10 @@ def _check_property_suites():
     for trial in range(100):  # packing density is scale invariant
         k = rng.randint(2, 4)
         g = _random_pd_gram(rng, k)
-        model = lattice.LatticeModel(k=k, gram=g)
+        model = lattice.LatticeModel(g)
         rep = lattice.minimal_vectors(model)
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        scaled_model = lattice.LatticeModel(k=k, gram=[[c * e for e in row] for row in g])
+        scaled_model = lattice.LatticeModel([[c * e for e in row] for row in g])
         scaled_rep = lattice.minimal_vectors(scaled_model)
         d1 = lattice.packing_density(model, rep)
         d2 = lattice.packing_density(scaled_model, scaled_rep)

@@ -6,8 +6,9 @@ lists of rows; all functions treat their inputs as immutable and return fresh
 objects.  Determinant, rank, pivot columns, linear solves and the LDL'
 decomposition share one forward fraction-free (Bareiss) elimination on the
 input scaled once to integers, with fraction-free back-substitution for
-solves.  LDL' is that same elimination of a symmetric matrix, required to
-make no row swap.
+solves.  LDL' is that same elimination of a symmetric matrix and accepts
+positive definite input only: every leading minor must be a pivot, in place
+and > 0, or it raises NotPositiveDefiniteError.
 Floating point appears only in ``SurdValue.__float__``, for printing.
 """
 
@@ -27,8 +28,8 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
-class PivotBreakdownError(ArithmeticError):
-    """Raised by ldl_decompose when a leading minor is zero (matrix not definite)."""
+class NotPositiveDefiniteError(ValueError):
+    """Raised by ldl_decompose when a leading minor is <= 0."""
 
 
 class NegativeRadicandError(ArithmeticError):
@@ -192,28 +193,26 @@ class LDLDecomposition(NamedTuple):
         """Δ_1, ..., Δ_k."""
         return [row[j] for j, row in enumerate(self.rows)]
 
-    def is_positive_definite(self) -> bool:
-        return all(d > 0 for d in self.minors)
-
 
 def ldl_decompose(q: Mat) -> LDLDecomposition:
-    """Fraction-free LDL' of a symmetric rational Q: ``_eliminate`` on scale·Q.
+    """Fraction-free LDL' of a symmetric positive definite rational Q:
+    ``_eliminate`` on scale·Q.
 
     Q is scaled once to the integer matrix scale·Q.  When the elimination
     takes pivots 0..k-1 without a row swap, row j is u_j and its pivot is the
-    leading principal minor Δ_{j+1}.  A swap or a skipped column means some
-    leading minor is zero, so Q is not definite: PivotBreakdownError.
-    Indefinite inputs that keep nonzero minors come back with a negative one,
-    so positive definiteness is read off the signs.
+    leading principal minor Δ_{j+1}.  Q is positive definite exactly when
+    every Δ_j > 0 (Sylvester's criterion); a swap or a skipped column means a
+    zero minor.  Either way NotPositiveDefiniteError.
     """
     _require_square(q)
     if any(q[i][j] != q[j][i] for i in range(len(q)) for j in range(i)):
         raise SizeMismatchError("ldl_decompose requires a symmetric matrix")
     scale, a = clear_denominators(q)
     e = _eliminate(a)
-    if e.swaps or e.pivots != list(range(len(a))):
-        raise PivotBreakdownError("a leading minor is zero: matrix is not definite")
-    return LDLDecomposition(scale, e.rows)
+    dec = LDLDecomposition(scale, e.rows)
+    if e.swaps or e.pivots != list(range(len(a))) or any(d <= 0 for d in dec.minors):
+        raise NotPositiveDefiniteError("a leading minor is <= 0: matrix is not positive definite")
+    return dec
 
 
 # ---------------------------------------------------------------------------

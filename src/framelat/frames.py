@@ -10,6 +10,8 @@ coordinate matrix X of the remaining columns over the basis; beta, the lcm of
 X's denominators, is derived from X.  A conference pair's record
 (``conference_data``) keeps N, N^{-1} and three determinants but not alpha,
 which k gives; a pair with a singular D has no record and no coordinate frame.
+Each construction returns its CoordinateFrame alone, whose ``frame`` is the
+FrameSpec.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import NamedTuple
 from .circulant import (
     ConferencePair,
     Row,
-    SingularCirculantError,
     add_scalar,
     circulant_determinant,
     circulant_matrix,
@@ -33,6 +34,7 @@ from .circulant import (
 )
 from .exact import (
     Mat,
+    SingularMatrixError,
     SurdValue,
     mat_mul,
     pivot_columns,
@@ -151,7 +153,7 @@ def select_basis_greedy(gram: Mat, k: int) -> tuple:
 
 # --- constructions ----------------------------------------------------------
 
-def simplex_frame(k: int) -> tuple[FrameSpec, CoordinateFrame]:
+def simplex_frame(k: int) -> CoordinateFrame:
     """The k+1 unit vectors with pairwise inner product -1/k.
 
     The first k vectors are a basis and the last is minus their sum, so
@@ -161,9 +163,9 @@ def simplex_frame(k: int) -> tuple[FrameSpec, CoordinateFrame]:
         raise ValueError("k must be at least 2")
     n = k + 1
     seidel = [[0 if i == j else -1 for j in range(n)] for i in range(n)]
-    spec = FrameSpec(k=k, n=n, seidel=seidel)
     coords = [[F(-1)] for _ in range(k)]
-    return spec, CoordinateFrame(frame=spec, basis_indices=tuple(range(1, k + 1)), coords=coords)
+    return CoordinateFrame(frame=FrameSpec(k=k, n=n, seidel=seidel),
+                           basis_indices=tuple(range(1, k + 1)), coords=coords)
 
 
 def conference_seidel(p: ConferencePair) -> list:
@@ -209,7 +211,7 @@ def conference_data(p: ConferencePair) -> ConferenceData:
     roots of unity w^j are Galois conjugates, so one zero makes them all zero
     and D = ±J, whose eigenvalue ±k has k² > 2k - 1 = alpha².  D is also
     invertible for every pair at k = 25; a singular D raises
-    SingularCirculantError.
+    SingularMatrixError.
     """
     alpha = int(rational_alpha(p.k, 2 * p.k))
     if not is_conference(p):
@@ -218,12 +220,12 @@ def conference_data(p: ConferencePair) -> ConferenceData:
     det_plus = int(circulant_determinant(plus_row))
     det_d, rows = circulant_solve(p.d_row, [add_scalar(p.a_row, -alpha), tuple(-v for v in plus_row)])
     if rows is None:
-        raise SingularCirculantError("D is singular")
+        raise SingularMatrixError("D is singular")
     n_row, n_inv_row = rows
     return ConferenceData(n_row, n_inv_row, int(det_d), det_plus, det_d ** 2 // det_plus)
 
 
-def conference_frame(p: ConferencePair, variant: str) -> tuple[FrameSpec, CoordinateFrame]:
+def conference_frame(p: ConferencePair, variant: str) -> CoordinateFrame:
     """Coordinate frame over one of the two natural bases of a conference frame.
 
     Variant "plus" takes columns 1..k as basis (Gram I + A/alpha, X = -N);
@@ -233,14 +235,13 @@ def conference_frame(p: ConferencePair, variant: str) -> tuple[FrameSpec, Coordi
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown variant {variant!r}")
     k = p.k
-    spec = conference_frame_spec(p)
     data = conference_data(p)
     if variant == "plus":
         row, basis = data.n_row, tuple(range(1, k + 1))
     else:
         row, basis = data.n_inv_row, tuple(range(k + 1, 2 * k + 1))
     x = circulant_matrix([-v for v in row])
-    return spec, CoordinateFrame(frame=spec, basis_indices=basis, coords=x)
+    return CoordinateFrame(frame=conference_frame_spec(p), basis_indices=basis, coords=x)
 
 
 def preferred_variant(p: ConferencePair) -> str:
@@ -281,7 +282,7 @@ def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> Coordin
     return CoordinateFrame(frame=spec, basis_indices=basis, coords=solve_linear(q, rhs))
 
 
-def _explicit_frame(vectors, k: int, basis: tuple | None = None) -> tuple[FrameSpec, CoordinateFrame]:
+def _explicit_frame(vectors, k: int, basis: tuple | None = None) -> CoordinateFrame:
     """Build a frame from integer vector representatives of one common length |v|²."""
     alpha = rational_alpha(k, len(vectors))
     scale = sum(x * x for x in vectors[0])
@@ -294,11 +295,10 @@ def _explicit_frame(vectors, k: int, basis: tuple | None = None) -> tuple[FrameS
                 raise ValueError(f"Seidel entry ({i}, {j}) = {v} is not an integer")
             row.append(int(v))
         seidel.append(row)
-    spec = FrameSpec(k=k, n=len(vectors), seidel=seidel)
-    return spec, coordinatize(spec, basis)
+    return coordinatize(FrameSpec(k=k, n=len(vectors), seidel=seidel), basis)
 
 
-def frame_6_16() -> tuple[FrameSpec, CoordinateFrame]:
+def frame_6_16() -> CoordinateFrame:
     """The explicit (6,16) frame, built from a hard-coded sign matrix, over
     its greedy-leftmost basis."""
     rows = [[1 if c == "+" else -1 for c in r.split()] for r in _SIGN_ROWS_6_16]
@@ -316,7 +316,7 @@ def scaled_vectors_7_28() -> list:
     return out
 
 
-def frame_7_28() -> tuple[FrameSpec, CoordinateFrame]:
+def frame_7_28() -> CoordinateFrame:
     """The (7,28) frame carried by 28 permutations of (-3,-3,1,...,1)."""
     return _explicit_frame(scaled_vectors_7_28(), 7, _BASIS_7_28)
 

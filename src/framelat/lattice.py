@@ -1,11 +1,12 @@
 """Lattices from coordinate frames: exact short-vector enumeration,
 determinants, packing density, and scalar-orthogonal equivalence.
 
-Everything except packing_density and the non-lattice demo is exact.  Each
-LatticeModel carries one fraction-free LDL' of its Gram matrix, scaled to
-integers; it settles positive definiteness and the determinant, and drives a
-Fincke-Pohst depth-first search whose intervals come from math.isqrt on
-integers.  The search walks half the tree: while every coordinate above level
+Everything except packing_density and the non-lattice demo is exact.  A
+LatticeModel is its Gram matrix alone (k is the Gram's size) and carries one
+fraction-free LDL' of it, scaled to integers; a Gram that is not positive
+definite raises NotPositiveDefiniteError there.  The LDL' gives the determinant
+and drives a Fincke-Pohst depth-first search whose intervals come from
+math.isqrt on integers.  The search walks half the tree: while every coordinate above level
 j is 0, x_j starts at 0, so it yields exactly the one of x and -x whose topmost
 nonzero coordinate is positive, and _canonical maps that one to the same
 representative as the other.  Partial centres are summed over the nonzero
@@ -13,22 +14,22 @@ coordinates only.  Each leaf's remainder gives its exact norm, so the search
 returns (vector, norm) pairs and nothing recomputes a norm from the Gram.  The
 search is cross-checked elsewhere, vectors and norms, against a certified
 brute-force box scan.  A MinVecReport keeps the minimum and one representative
-per +- pair; the count with signs is twice their number.
+per +- pair; the count with signs is twice their number.  The alpha gate is a
+bool: irrational alpha, no lattice.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from typing import Optional
 
 from .exact import (
     LDLDecomposition,
     Mat,
-    PivotBreakdownError,
     SizeMismatchError,
     SurdValue,
     bareiss_determinant,
@@ -42,24 +43,22 @@ from .frames import CoordinateFrame, basis_gram, coordinate_columns, frame_alpha
 F = Fraction
 
 
-class NotPositiveDefiniteError(ValueError):
-    pass
-
-
 class SearchBudgetExceededError(RuntimeError):
     """Subset search hit its determinant-evaluation cap; status indeterminate."""
 
 
 @dataclass(frozen=True)
 class LatticeModel:
-    k: int
     gram: list  # k x k symmetric positive definite rational matrix
-    coord_frame: Optional[CoordinateFrame] = None
+
+    @property
+    def k(self) -> int:
+        return len(self.gram)
 
     @cached_property
     def ldl(self) -> LDLDecomposition:
         """The Gram's one LDL'; raises NotPositiveDefiniteError."""
-        return _pd_ldl(self.gram)
+        return ldl_decompose(self.gram)
 
 
 @dataclass(frozen=True)
@@ -68,15 +67,8 @@ class MinVecReport:
     vectors: list  # one canonical representative per +- pair, lex sorted
 
 
-@dataclass(frozen=True)
-class LatticeVerdict:
-    is_lattice: bool
-    reason: str  # "RationalAlpha" | "IrrationalAlpha"
-    alpha: SurdValue
-
-
-def alpha_gate(k: int, n: int) -> LatticeVerdict:
-    """Decide lattice-ness of the (k,n) frame family from alpha alone.
+def alpha_gate(k: int, n: int) -> bool:
+    """Whether the (k,n) frame family spans a lattice, decided from alpha alone.
 
     alpha is ``frames.frame_alpha(k, n)`` (ValueError unless 2 <= k < n).
     Irrational alpha rules a lattice out; rational alpha makes the whole Gram
@@ -85,25 +77,11 @@ def alpha_gate(k: int, n: int) -> LatticeVerdict:
     coordinatize, which finds rational coordinates over a basis for each
     concrete frame).
     """
-    alpha = frame_alpha(k, n)
-    rational = alpha.radicand == 1
-    return LatticeVerdict(is_lattice=rational,
-                          reason="RationalAlpha" if rational else "IrrationalAlpha",
-                          alpha=alpha)
+    return frame_alpha(k, n).radicand == 1
 
 
 def lattice_model(cf: CoordinateFrame) -> LatticeModel:
-    return LatticeModel(k=cf.frame.k, gram=basis_gram(cf), coord_frame=cf)
-
-
-def _pd_ldl(gram):
-    try:
-        dec = ldl_decompose(gram)
-    except PivotBreakdownError as exc:
-        raise NotPositiveDefiniteError("gram is not positive definite") from exc
-    if not dec.is_positive_definite():
-        raise NotPositiveDefiniteError("gram is not positive definite")
-    return dec
+    return LatticeModel(basis_gram(cf))
 
 
 def lattice_determinant(model: LatticeModel) -> SurdValue:
@@ -196,14 +174,10 @@ def frame_coordinate_columns(cf: CoordinateFrame):
     return [_canonical([int(v) for v in col]) for col in coordinate_columns(cf)]
 
 
-def frame_vectors_are_minimal(model: LatticeModel, report: MinVecReport) -> bool:
-    """True iff the minimal vectors are exactly +- the frame vectors."""
-    if model.coord_frame is None:
-        return False
-    cols = frame_coordinate_columns(model.coord_frame)
-    if cols is None:
-        return False
-    return set(report.vectors) == set(cols)
+def frame_vectors_are_minimal(cf: CoordinateFrame, report: MinVecReport) -> bool:
+    """True iff the minimal vectors of cf's basis lattice are exactly +- the frame vectors."""
+    cols = frame_coordinate_columns(cf)
+    return cols is not None and set(report.vectors) == set(cols)
 
 
 def has_basis_of_minimal_vectors(model: LatticeModel, report: MinVecReport,
@@ -240,7 +214,7 @@ def brute_force_short_vectors(model: LatticeModel, bound_sq) -> list:
     """
     gram = model.gram
     k = model.k
-    _pd_ldl(gram)
+    ldl_decompose(gram)  # NotPositiveDefiniteError
     bound = F(bound_sq)
     inv = mat_inverse(gram)
     radii = [floor_sqrt(bound * inv[i][i]) for i in range(k)]
@@ -312,16 +286,25 @@ def non_lattice_witness_3_6(steps: int) -> list:
     combination (x+y, y-x, y, y, x, -x) of the six frame vectors, whose
     squared length is 8(x+py)²/(1+p²) — strictly decreasing and -> 0,
     so the span is not discrete and no lattice exists.
+
+    x + p·y cancels in floating point, so it is computed as
+    (x² + xy - y²)/(x + q·y) with q = (1-sqrt 5)/2: the numerator is +-1
+    (Cassini's identity) and the two terms of the denominator share a sign.
+    A step whose norm is not a positive normal float raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     p = (1 + math.sqrt(5)) / 2
+    q = (1 - math.sqrt(5)) / 2
     out = []
     x, y = -1, 1
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         coeffs = (x + y, y - x, y, y, x, -x)
-        err = x + p * y
+        err = (x * x + x * y - y * y) / (x + q * y)
         norm = 8 * err * err / (1 + p * p)
+        if not norm >= sys.float_info.min:
+            raise ValueError(f"|v|^2 at step {step} is below the smallest normal float, "
+                             f"so at most {step - 1} steps can be shown")
         out.append((coeffs, norm))
         x, y = -(abs(x) + y), abs(x)
     return out

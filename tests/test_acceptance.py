@@ -51,37 +51,37 @@ def facts25(pairs25_timed):
     return [cli._pair_facts(p) for p in pairs]
 
 
-def coordinatized(builder, *args):
-    _, cf = builder(*args)
+def coordinatized(cf):
     model = lattice.lattice_model(cf)
     return model, lattice.minimal_vectors(model)
 
 
 def natural_gram(p, variant):
     """Gram I +- A/alpha of one natural basis of a conference frame."""
-    return frames.basis_gram(frames.conference_frame(p, variant)[1])
+    return frames.basis_gram(frames.conference_frame(p, variant))
 
 
 def test_criterion_01_alpha_gate_split():
     lattice.alpha_gate(3, 6)  # warm the code path before timing
     with budget(0.001):
         for k, n in ((3, 6), (7, 14), (9, 18)):
-            verdict = lattice.alpha_gate(k, n)
-            assert not verdict.is_lattice and verdict.alpha.radicand > 1, (k, n)
+            assert lattice.alpha_gate(k, n) is False, (k, n)
+            assert frames.frame_alpha(k, n).radicand > 1, (k, n)
         for k, n in ((5, 10), (6, 16), (7, 28), (13, 26), (25, 50)):
-            verdict = lattice.alpha_gate(k, n)
-            assert verdict.is_lattice and verdict.alpha.radicand == 1, (k, n)
+            assert lattice.alpha_gate(k, n) is True, (k, n)
+            assert frames.frame_alpha(k, n).radicand == 1, (k, n)
 
 
 def test_criterion_02_simplex_family():
     with budget(1.0):
         for k in range(2, 13):
-            model, rep = coordinatized(frames.simplex_frame, k)
+            cf = frames.simplex_frame(k)
+            model, rep = coordinatized(cf)
             assert bareiss_determinant(model.gram) == \
                 Fraction(1, k + 1) * Fraction(k + 1, k) ** k, k
             assert rep.min_norm_sq == 1, k
             assert 2 * len(rep.vectors) == 2 * (k + 1), k
-            assert lattice.frame_vectors_are_minimal(model, rep), k
+            assert lattice.frame_vectors_are_minimal(cf, rep), k
             assert geometry.strong_eutaxy_check(model, rep) is not None, k
             assert geometry.perfection_rank(model, rep) == k + 1, k
 
@@ -108,10 +108,11 @@ def test_criterion_04_5_10():
             assert abs(facts["detD"]) == 48
             assert facts["detAlphaPlusA"] == 48
         for p in pairs:
-            model, rep = coordinatized(frames.conference_frame, p, "plus")
+            cf = frames.conference_frame(p, "plus")
+            model, rep = coordinatized(cf)
             assert lattice.lattice_determinant(model) == SurdValue(Fraction(4, 9), 1)
             assert 2 * len(rep.vectors) == 20
-            assert lattice.frame_vectors_are_minimal(model, rep)
+            assert lattice.frame_vectors_are_minimal(cf, rep)
         gram_1 = natural_gram(pairs[0], "plus")
         gram_3 = natural_gram(pairs[2], "plus")
         assert lattice.scalar_orthogonal_equivalence(gram_1, gram_3) is None
@@ -138,12 +139,13 @@ def test_criterion_05_13_26():
         assert sum(n_int) == 6 and sum(not b for b in n_int) == 6
         for p in pairs:
             variant = frames.preferred_variant(p)
-            model, rep = coordinatized(frames.conference_frame, p, variant)
+            cf = frames.conference_frame(p, variant)
+            model, rep = coordinatized(cf)
             det = lattice.lattice_determinant(model)
             assert det == SurdValue(Fraction(64, 3125), 5)
             assert abs(float(det) - 0.0458) <= 0.0001
             assert 2 * len(rep.vectors) == 52
-            assert lattice.frame_vectors_are_minimal(model, rep)
+            assert lattice.frame_vectors_are_minimal(cf, rep)
         grams = [natural_gram(p, frames.preferred_variant(p)) for p in pairs]
         assert lattice.equivalence_classes(grams) == \
             [[0, 1, 10, 11], [2, 3, 8, 9], [4, 5, 6, 7]]
@@ -231,7 +233,7 @@ def test_criterion_06_25_50_lattice_invariants(pairs25_timed):
     ordered = sorted(pairs, key=lambda p: (p.d_row[0], p.a_row, p.d_row))
     for j in range(10):
         assert ordered[j].a_row == ordered[j + 10].a_row, f"B_{j+1} vs B_{j+11}"
-    model = lattice.LatticeModel(k=25, gram=natural_gram(ordered[0], "plus"))
+    model = lattice.LatticeModel(natural_gram(ordered[0], "plus"))
     det = lattice.lattice_determinant(model)
     assert abs(float(det) - 0.00071052) <= 1e-8
     classes = lattice.equivalence_classes([natural_gram(p, "plus") for p in ordered[:10]])
@@ -240,25 +242,25 @@ def test_criterion_06_25_50_lattice_invariants(pairs25_timed):
 
 def test_criterion_07_6_16():
     with budget(1.0):
-        _, cf = frames.frame_6_16()
+        cf = frames.frame_6_16()
         assert tuple(cf.basis_indices) == (1, 2, 3, 4, 5, 9)
         assert cf.beta == 1
         model = lattice.lattice_model(cf)
         assert bareiss_determinant(model.gram) == Fraction(2**6, 3**6)
         rep = lattice.minimal_vectors(model)
         assert 2 * len(rep.vectors) == 32
-        assert lattice.frame_vectors_are_minimal(model, rep)
+        assert lattice.frame_vectors_are_minimal(cf, rep)
         assert lattice.has_basis_of_minimal_vectors(model, rep)
 
 
 def test_criterion_08_7_28():
     with budget(5.0):
-        _, cf = frames.frame_7_28()
+        cf = frames.frame_7_28()
         model = lattice.lattice_model(cf)
         assert bareiss_determinant(model.gram) == Fraction(2**6, 3**7)
         rep = lattice.minimal_vectors(model)
         assert 2 * len(rep.vectors) == 56
-        assert lattice.frame_vectors_are_minimal(model, rep)
+        assert lattice.frame_vectors_are_minimal(cf, rep)
         assert geometry.strong_eutaxy_check(model, rep) is not None
         assert geometry.perfection_rank(model, rep) == 28
         assert geometry.perfection_certificate_det_7_28() == 3 * 2**159
@@ -268,13 +270,11 @@ def test_criterion_08_7_28():
 
 def test_criterion_09_oracle_equivalence():
     with budget(5.0):
-        models = [coordinatized(frames.simplex_frame, k)[0] for k in range(2, 8)]
+        cfs = [frames.simplex_frame(k) for k in range(2, 8)]
         for p in circulant.search_conference_pairs(5):
-            for variant in ("plus", "minus"):
-                models.append(coordinatized(frames.conference_frame, p, variant)[0])
-        models.append(coordinatized(frames.frame_6_16)[0])
-        models.append(coordinatized(frames.frame_7_28)[0])
-        for model in models:
+            cfs += [frames.conference_frame(p, variant) for variant in ("plus", "minus")]
+        cfs += [frames.frame_6_16(), frames.frame_7_28()]
+        for model in map(lattice.lattice_model, cfs):
             fast = set(lattice.enumerate_short_vectors(model, Fraction(1)))
             slow = set(lattice.brute_force_short_vectors(model, Fraction(1)))
             assert fast == slow, f"k = {model.k}"

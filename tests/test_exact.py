@@ -10,7 +10,7 @@ from framelat import exact
 from framelat.exact import (
     LDLDecomposition,
     NegativeRadicandError,
-    PivotBreakdownError,
+    NotPositiveDefiniteError,
     SingularMatrixError,
     SurdValue,
     bareiss_determinant,
@@ -245,12 +245,15 @@ def test_ldl_identity():
     assert dec.minors == [1] * 4
 
 
-def test_ldl_semidefinite_breaks_down():
-    # a zero leading minor: no pivot in column 1, or a row swap to find one
-    # (after the swap [[0,1],[1,0]] has minors 1, 1, yet it is indefinite)
-    for q in ([[1, 1], [1, 1]], [[0, 1], [1, 0]], [[1, 1, 0], [1, 1, 1], [0, 1, 5]]):
-        with pytest.raises(PivotBreakdownError):
-            ldl_decompose(q)
+@pytest.mark.parametrize("q", [
+    pytest.param([[1, 1], [1, 1]], id="zero-minor"),  # no pivot in column 1
+    pytest.param([[1, 1, 0], [1, 1, 1], [0, 1, 5]], id="zero-minor-swap"),
+    pytest.param([[0, 1], [1, 0]], id="row-swap"),  # minors 1, 1 after the swap
+    pytest.param([[1, 2], [2, 1]], id="negative-minor"),  # minors 1, -3
+])
+def test_ldl_rejects_non_positive_definite(q):
+    with pytest.raises(NotPositiveDefiniteError):
+        ldl_decompose(q)
 
 
 def test_ldl_reconstruction_property():
@@ -263,7 +266,7 @@ def test_ldl_reconstruction_property():
         for i in range(k):
             q[i][i] += 1
         dec = ldl_decompose(q)
-        assert dec.is_positive_definite()
+        assert all(d > 0 for d in dec.minors)
         scaled = [[dec.scale * v for v in row] for row in q]
         assert all(v.denominator == 1 for row in scaled for v in row)
         assert reconstruct(dec) == scaled
@@ -272,13 +275,6 @@ def test_ldl_reconstruction_property():
             assert dec.rows[j][:j] == [0] * j
             lead = [row[:j + 1] for row in scaled[:j + 1]]
             assert dec.minors[j] == cofactor_determinant(lead)
-
-
-def test_ldl_indefinite_has_negative_diag():
-    dec = ldl_decompose([[1, 2], [2, 1]])
-    assert not dec.is_positive_definite()
-    assert dec.minors == [1, -3]
-    assert reconstruct(dec) == [[1, 2], [2, 1]]
 
 
 # ---------------------------------------------------------------------------

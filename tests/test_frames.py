@@ -44,7 +44,8 @@ def det_of_basis_gram(cf):
 # --- simplex ---------------------------------------------------------------
 
 def test_simplex_small():
-    spec, cf = simplex_frame(3)
+    cf = simplex_frame(3)
+    spec = cf.frame
     g = full_gram(spec)
     assert all(g[i][j] == (1 if i == j else F(-1, 3)) for i in range(4) for j in range(4))
     assert cf.coords == [[-1], [-1], [-1]]
@@ -53,12 +54,12 @@ def test_simplex_small():
 
 
 def test_simplex_gamma():
-    spec, _ = simplex_frame(2)
+    spec = simplex_frame(2).frame
     assert spec.gamma == F(3, 2)
 
 
 def test_simplex_alpha_and_gerzon():
-    spec, _ = simplex_frame(9)
+    spec = simplex_frame(9).frame
     assert spec.alpha == SurdValue(F(9))
     rep = validate_frame(spec)
     assert rep.all_ok
@@ -66,14 +67,14 @@ def test_simplex_alpha_and_gerzon():
 
 def test_simplex_determinant_formula():
     for k in (2, 3, 5, 8):
-        _, cf = simplex_frame(k)
+        cf = simplex_frame(k)
         expect = F(1, k + 1) * (1 + F(1, k)) ** k
         assert det_of_basis_gram(cf) == expect
 
 
 def test_simplex_validates():
     for k in (2, 4, 7):
-        spec, _ = simplex_frame(k)
+        spec = simplex_frame(k).frame
         assert validate_frame(spec).all_ok
 
 
@@ -81,7 +82,8 @@ def test_simplex_validates():
 
 def test_conference_plus_5_10():
     pairs = search_conference_pairs(5)
-    spec, cf = conference_frame(pairs[0], "plus")
+    cf = conference_frame(pairs[0], "plus")
+    spec = cf.frame
     assert (spec.k, spec.n) == (5, 10)
     assert spec.alpha == SurdValue(F(3))
     q = basis_gram(cf)
@@ -95,7 +97,8 @@ def test_conference_plus_5_10():
 
 def test_conference_minus_5_10():
     pairs = search_conference_pairs(5)
-    spec, cf = conference_frame(pairs[0], "minus")
+    cf = conference_frame(pairs[0], "minus")
+    spec = cf.frame
     assert cf.basis_indices == (6, 7, 8, 9, 10)
     # N is unimodular here (|det N| = |det(A-3I)| / |det D| = 48/48), so
     # X = -N^{-1} is integral as well
@@ -105,7 +108,8 @@ def test_conference_minus_5_10():
 
 def test_conference_minus_13_26():
     pairs = search_conference_pairs(13)
-    spec, cf = conference_frame(pairs[4], "minus")
+    cf = conference_frame(pairs[4], "minus")
+    spec = cf.frame
     assert cf.beta == 1
     assert gram_consistency_holds(cf)
     q = basis_gram(cf)
@@ -202,7 +206,8 @@ def test_conference_data_irrational_alpha():
 # --- explicit frames ----------------------------------------------------------
 
 def test_frame_6_16():
-    spec, cf = frame_6_16()
+    cf = frame_6_16()
+    spec = cf.frame
     assert (spec.k, spec.n) == (6, 16)
     assert spec.gamma == F(8, 3)
     assert cf.basis_indices == (1, 2, 3, 4, 5, 9)
@@ -213,12 +218,12 @@ def test_frame_6_16():
 
 
 def test_frame_6_16_greedy_basis_matches():
-    spec, _ = frame_6_16()
+    spec = frame_6_16().frame
     assert select_basis_greedy(full_gram(spec), 6) == (1, 2, 3, 4, 5, 9)
 
 
 def test_frame_6_16_tightness_breaks_under_sign_flip():
-    spec, _ = frame_6_16()
+    spec = frame_6_16().frame
     c = [row[:] for row in spec.seidel]
     c[0][1] = -c[0][1]
     c[1][0] = -c[1][0]
@@ -228,7 +233,8 @@ def test_frame_6_16_tightness_breaks_under_sign_flip():
 
 
 def test_frame_7_28():
-    spec, cf = frame_7_28()
+    cf = frame_7_28()
+    spec = cf.frame
     assert (spec.k, spec.n) == (7, 28)
     assert spec.gamma == 4
     assert cf.basis_indices == (1, 2, 3, 4, 5, 6, 16)
@@ -246,14 +252,14 @@ def test_explicit_frame_rejects_a_non_integer_seidel_entry():
 
 
 def test_greedy_basis_simplex():
-    spec, _ = simplex_frame(5)
+    spec = simplex_frame(5).frame
     assert select_basis_greedy(full_gram(spec), 5) == (1, 2, 3, 4, 5)
 
 
 def test_greedy_basis_skips_repeated_vectors():
     # vectors v0, v0, v1, v1, v2, v3 of the 3-simplex: the leading two Gram
     # columns are equal, so the basis is the first copy of v0, v1 and v2
-    spec, _ = simplex_frame(3)
+    spec = simplex_frame(3).frame
     g = full_gram(spec)
     order = [0, 0, 1, 1, 2, 3]
     repeated = [[g[i][j] for j in order] for i in order]
@@ -275,19 +281,22 @@ STORED_BETAS = {
 
 def test_derived_fields_equal_the_formerly_stored_values():
     for k in range(2, 13):
-        spec, cf = simplex_frame(k)
+        cf = simplex_frame(k)
+        spec = cf.frame
         assert (spec.alpha, spec.gamma, cf.beta) == (SurdValue(F(k)), F(k + 1, k), 1)
     spec = conference_frame_spec(search_conference_pairs(3)[0])
     assert (spec.alpha, spec.gamma) == (SurdValue(F(1), 5), 2)
     for k, (plus, minus) in STORED_BETAS.items():
         for p, beta_plus, beta_minus in zip(conference_pairs(k), plus, minus, strict=True):
             for variant, beta in (("plus", beta_plus), ("minus", beta_minus)):
-                spec, cf = conference_frame(p, variant)
+                cf = conference_frame(p, variant)
+                spec = cf.frame
                 assert spec.alpha == SurdValue(F({5: 3, 13: 5, 25: 7}[k]))
                 assert spec.gamma == 2
                 assert cf.beta == int(beta), (k, p, variant)
     for build, gamma in ((frame_6_16, F(8, 3)), (frame_7_28, F(4))):
-        spec, cf = build()
+        cf = build()
+        spec = cf.frame
         assert (spec.alpha, spec.gamma, cf.beta) == (SurdValue(F(3)), gamma, 1)
 
 
@@ -306,9 +315,9 @@ def gram_is_tight(spec):
 
 
 def test_tightness_identity_agrees_with_the_definition():
-    specs = [simplex_frame(k)[0] for k in range(2, 13)]
+    specs = [simplex_frame(k).frame for k in range(2, 13)]
     specs += [conference_frame_spec(p) for k in STORED_BETAS for p in conference_pairs(k)]
-    specs += [frame_6_16()[0], frame_7_28()[0]]
+    specs += [frame_6_16().frame, frame_7_28().frame]
     verdicts = set()
     for spec in specs + [flipped(s) for s in specs]:
         direct = gram_is_tight(spec)
@@ -337,7 +346,7 @@ def test_tightness_identity_agrees_with_the_surd_split():
 
 
 def test_seidel_shape():
-    spec, _ = simplex_frame(3)
+    spec = simplex_frame(3).frame
     assert validate_frame(spec).seidel_ok
     for i, j, v in ((0, 1, 1), (0, 0, -1), (0, 1, 2)):
         c = [row[:] for row in spec.seidel]

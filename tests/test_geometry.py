@@ -59,7 +59,7 @@ def model_and_minima(cf):
 
 
 def test_square_lattice_is_eutactic_with_constant_two():
-    model = lattice.LatticeModel(k=2, gram=[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    model = lattice.LatticeModel([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     rep = lattice.minimal_vectors(model)
     assert geometry.strong_eutaxy_check(model, rep) == 2
 
@@ -67,14 +67,14 @@ def test_square_lattice_is_eutactic_with_constant_two():
 def test_rectangular_lattice_is_not_eutactic():
     # diag(1, 2): the only minimal pair is +-e1, whose outer square cannot
     # be a multiple of the identity.
-    model = lattice.LatticeModel(k=2, gram=[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
+    model = lattice.LatticeModel([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
     rep = lattice.minimal_vectors(model)
     assert geometry.strong_eutaxy_check(model, rep) is None
 
 
 def test_simplex_family_eutaxy_and_rank():
     for k in range(2, 10):
-        _, cf = frames.simplex_frame(k)
+        cf = frames.simplex_frame(k)
         model, rep = model_and_minima(cf)
         assert geometry.strong_eutaxy_check(model, rep) == Fraction(2 * (k + 1), k), k
         assert geometry.perfection_rank(model, rep) == k + 1
@@ -83,21 +83,21 @@ def test_simplex_family_eutaxy_and_rank():
 def test_conference_5_10_eutactic_not_perfect():
     for p in circulant.search_conference_pairs(5):
         for variant in ("plus", "minus"):
-            _, cf = frames.conference_frame(p, variant)
+            cf = frames.conference_frame(p, variant)
             model, rep = model_and_minima(cf)
             assert geometry.strong_eutaxy_check(model, rep) == 4
             assert geometry.perfection_rank(model, rep) == 10
 
 
 def test_frame_6_16_eutactic_not_perfect():
-    _, cf = frames.frame_6_16()
+    cf = frames.frame_6_16()
     model, rep = model_and_minima(cf)
     assert geometry.strong_eutaxy_check(model, rep) == Fraction(16, 3)
     assert geometry.perfection_rank(model, rep) == 16
 
 
 def test_frame_7_28_eutactic_and_perfect():
-    _, cf = frames.frame_7_28()
+    cf = frames.frame_7_28()
     model, rep = model_and_minima(cf)
     assert geometry.strong_eutaxy_check(model, rep) == 8
     assert geometry.perfection_rank(model, rep) == 28
@@ -105,16 +105,16 @@ def test_frame_7_28_eutactic_and_perfect():
 
 def test_conference_13_26_eutactic_not_perfect():
     p = circulant.search_conference_pairs(13)[0]
-    _, cf = frames.conference_frame(p, frames.preferred_variant(p))
+    cf = frames.conference_frame(p, frames.preferred_variant(p))
     model, rep = model_and_minima(cf)
     assert geometry.strong_eutaxy_check(model, rep) == 4
     assert geometry.perfection_rank(model, rep) == 26
 
 
 def test_rank_bounded_by_vector_count_and_dimension():
-    cases = [frames.simplex_frame(4)[1], frames.frame_6_16()[1]]
+    cases = [frames.simplex_frame(4), frames.frame_6_16()]
     p = circulant.search_conference_pairs(5)[0]
-    cases.append(frames.conference_frame(p, "plus")[1])
+    cases.append(frames.conference_frame(p, "plus"))
     for cf in cases:
         model, rep = model_and_minima(cf)
         k = model.k
@@ -124,7 +124,7 @@ def test_rank_bounded_by_vector_count_and_dimension():
 def test_rank_invariant_under_unimodular_change_of_coordinates():
     rng = random.Random(20260816)
     p = circulant.search_conference_pairs(5)[0]
-    _, cf = frames.conference_frame(p, "plus")
+    cf = frames.conference_frame(p, "plus")
     model, rep = model_and_minima(cf)
     base_rank = geometry.perfection_rank(model, rep)
     k = model.k
@@ -147,20 +147,19 @@ def lower_triangle_rank(k, vectors):
 
 
 def identity_model(k):
-    return lattice.LatticeModel(k=k, gram=[[Fraction(int(i == j)) for j in range(k)]
-                                           for i in range(k)])
+    return lattice.LatticeModel([[Fraction(int(i == j)) for j in range(k)] for i in range(k)])
 
 
 def every_family():
     for k in range(2, 10):
-        yield frames.simplex_frame(k)[1]
+        yield frames.simplex_frame(k)
     for p in circulant.search_conference_pairs(5):
         for variant in ("plus", "minus"):
-            yield frames.conference_frame(p, variant)[1]
+            yield frames.conference_frame(p, variant)
     for pairs in (circulant.search_conference_pairs(13), circulant.load_pairs(str(CACHE_25), 25)):
-        yield frames.conference_frame(pairs[0], frames.preferred_variant(pairs[0]))[1]
-    yield frames.frame_6_16()[1]
-    yield frames.frame_7_28()[1]
+        yield frames.conference_frame(pairs[0], frames.preferred_variant(pairs[0]))
+    yield frames.frame_6_16()
+    yield frames.frame_7_28()
 
 
 def test_rank_equals_lower_triangle_rank_on_every_family():
@@ -172,7 +171,7 @@ def test_rank_equals_lower_triangle_rank_on_every_family():
 def test_rank_with_more_minimal_vectors_than_forms_d4():
     # the Cartan matrix of D4: 12 minimal pairs against 10 forms, and D4 is perfect
     cartan = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-    model = lattice.LatticeModel(k=4, gram=[[Fraction(v) for v in row] for row in cartan])
+    model = lattice.LatticeModel([[Fraction(v) for v in row] for row in cartan])
     rep = lattice.minimal_vectors(model)
     assert (rep.min_norm_sq, len(rep.vectors)) == (2, 12)
     assert geometry.perfection_rank(model, rep) == lower_triangle_rank(4, rep.vectors) == 10
@@ -200,7 +199,7 @@ def test_rank_equals_lower_triangle_rank_random():
 
 
 def test_empty_report_has_rank_zero():
-    model = lattice.LatticeModel(k=2, gram=[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    model = lattice.LatticeModel([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     fake = lattice.MinVecReport(min_norm_sq=Fraction(1), vectors=[])
     assert geometry.perfection_rank(model, fake) == 0
 

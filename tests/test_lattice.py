@@ -1,14 +1,22 @@
 """Tests for lattice construction, enumeration, and equivalence."""
 
+import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from framelat import lattice
 from framelat.circulant import load_pairs, search_conference_pairs
-from framelat.exact import SurdValue, bareiss_determinant, mat_mul, transpose
+from framelat.exact import (
+    NotPositiveDefiniteError,
+    SurdValue,
+    bareiss_determinant,
+    mat_mul,
+    transpose,
+)
 from framelat.frames import (
     CoordinateFrame,
     FrameSpec,
@@ -16,12 +24,12 @@ from framelat.frames import (
     conference_frame,
     coordinatize,
     frame_6_16,
+    frame_alpha,
     preferred_variant,
     simplex_frame,
 )
 from framelat.lattice import (
     LatticeModel,
-    NotPositiveDefiniteError,
     SearchBudgetExceededError,
     alpha_gate,
     brute_force_short_vectors,
@@ -43,7 +51,7 @@ F = Fraction
 
 def model_from_gram(rows):
     gram = [[F(v) for v in row] for row in rows]
-    return LatticeModel(k=len(gram), gram=gram)
+    return LatticeModel(gram)
 
 
 def random_pd_gram(rng, k):
@@ -60,23 +68,20 @@ def random_pd_gram(rng, k):
 
 def test_alpha_gate_irrational_families():
     for (k, n, rad) in ((3, 6, 5), (7, 14, 13), (9, 18, 17)):
-        verdict = alpha_gate(k, n)
-        assert not verdict.is_lattice
-        assert verdict.reason == "IrrationalAlpha"
-        assert verdict.alpha == SurdValue(F(1), rad)
+        assert alpha_gate(k, n) is False
+        assert frame_alpha(k, n) == SurdValue(F(1), rad)
 
 
 def test_alpha_gate_rational_families():
     for (k, n, a) in ((5, 10, 3), (6, 16, 3), (7, 28, 3), (13, 26, 5), (25, 50, 7)):
-        verdict = alpha_gate(k, n)
-        assert verdict.is_lattice
-        assert verdict.reason == "RationalAlpha"
-        assert verdict.alpha == SurdValue(F(a))
+        assert alpha_gate(k, n) is True
+        assert frame_alpha(k, n) == SurdValue(F(a))
 
 
 def test_alpha_gate_simplex():
     for k in range(2, 13):
-        assert alpha_gate(k, k + 1).alpha == SurdValue(F(k))
+        assert alpha_gate(k, k + 1) is True
+        assert frame_alpha(k, k + 1) == SurdValue(F(k))
 
 
 def test_alpha_gate_domain():
@@ -89,15 +94,14 @@ def test_alpha_gate_domain():
 # --- constructive lattice test: rational coordinates over a basis -------------
 
 def test_lattice_test_simplex():
-    spec, _ = simplex_frame(5)
-    cf = coordinatize(spec)
+    cf = coordinatize(simplex_frame(5).frame)
     assert cf.coords == [[-1]] * 5
     assert cf.beta == 1
 
 
 def test_lattice_test_6_16():
-    spec, built = frame_6_16()
-    cf = coordinatize(spec)
+    built = frame_6_16()
+    cf = coordinatize(built.frame)
     assert cf.basis_indices == (1, 2, 3, 4, 5, 9)
     assert cf.beta == 1
     assert cf.coords == built.coords
@@ -105,8 +109,8 @@ def test_lattice_test_6_16():
 
 def test_lattice_test_matches_minus_N():
     pairs = search_conference_pairs(5)
-    spec, built = conference_frame(pairs[0], "plus")
-    cf = coordinatize(spec)
+    built = conference_frame(pairs[0], "plus")
+    cf = coordinatize(built.frame)
     assert cf.basis_indices == (1, 2, 3, 4, 5)
     assert cf.coords == built.coords  # X = -N falls out of the Gram solve
 
@@ -122,20 +126,20 @@ def test_lattice_test_irrational():
 
 def test_determinant_5_10():
     pairs = search_conference_pairs(5)
-    _, cf = conference_frame(pairs[0], "plus")
+    cf = conference_frame(pairs[0], "plus")
     det = lattice_determinant(lattice_model(cf))
     assert det == F(4, 9)
 
 
 def test_determinant_simplex_13():
-    _, cf = simplex_frame(13)
+    cf = simplex_frame(13)
     det = lattice_determinant(lattice_model(cf))
     assert det.squared() == F(1, 14) * (F(14, 13)) ** 13
 
 
 def test_determinant_13_26():
     pairs = search_conference_pairs(13)
-    _, cf = conference_frame(pairs[0], "plus")
+    cf = conference_frame(pairs[0], "plus")
     det = lattice_determinant(lattice_model(cf))
     assert det == SurdValue(F(2 ** 6, 5 ** 5), 5)  # = (2^6/5^4)·sqrt(1/5)
     assert abs(float(det) - 0.0458) < 1e-4
@@ -149,7 +153,7 @@ def test_determinant_rejects_indefinite():
 def test_determinant_unimodular_invariance():
     rng = random.Random(2026)
     pairs = search_conference_pairs(5)
-    _, cf = conference_frame(pairs[0], "plus")
+    cf = conference_frame(pairs[0], "plus")
     q = lattice_model(cf).gram
     base = lattice_determinant(lattice_model(cf))
     for _ in range(20):
@@ -202,7 +206,7 @@ def test_enumerate_rejects_semidefinite():
 
 
 def test_minimal_simplex_4():
-    _, cf = simplex_frame(4)
+    cf = simplex_frame(4)
     rep = minimal_vectors(lattice_model(cf))
     assert rep.min_norm_sq == 1
     assert 2 * len(rep.vectors) == 10
@@ -213,35 +217,34 @@ def test_minimal_simplex_4():
 def test_minimal_5_10():
     pairs = search_conference_pairs(5)
     for i, p in enumerate(pairs, start=1):
-        _, cf = conference_frame(p, "plus")
+        cf = conference_frame(p, "plus")
         model = lattice_model(cf)
         rep = minimal_vectors(model)
         assert rep.min_norm_sq == 1
         assert 2 * len(rep.vectors) == 20
-        assert frame_vectors_are_minimal(model, rep)
+        assert frame_vectors_are_minimal(cf, rep)
 
 
 def test_minimal_6_16():
-    _, cf = frame_6_16()
+    cf = frame_6_16()
     model = lattice_model(cf)
     rep = minimal_vectors(model)
     assert rep.min_norm_sq == 1
     assert 2 * len(rep.vectors) == 32
-    assert frame_vectors_are_minimal(model, rep)
+    assert frame_vectors_are_minimal(cf, rep)
     assert has_basis_of_minimal_vectors(model, rep)
 
 
 def test_frame_vectors_trivial_when_basis_is_whole_frame():
     spec = FrameSpec(k=2, n=2, seidel=[[0, 0], [0, 0]])
     cf = CoordinateFrame(frame=spec, basis_indices=(1, 2), coords=[[], []])
-    model = LatticeModel(k=2, gram=[[F(1), F(0)], [F(0), F(1)]], coord_frame=cf)
-    rep = minimal_vectors(model)
-    assert frame_vectors_are_minimal(model, rep)
+    rep = minimal_vectors(LatticeModel([[F(1), F(0)], [F(0), F(1)]]))
+    assert frame_vectors_are_minimal(cf, rep)
 
 
 def test_basis_of_minimal_vectors_simplex():
     for k in (2, 5, 9):
-        _, cf = simplex_frame(k)
+        cf = simplex_frame(k)
         model = lattice_model(cf)
         assert has_basis_of_minimal_vectors(model, minimal_vectors(model))
 
@@ -289,7 +292,7 @@ def test_brute_force_matches_fincke_pohst_random():
 
 def test_brute_force_named_lattices():
     pairs = search_conference_pairs(5)
-    _, cf = conference_frame(pairs[0], "plus")
+    cf = conference_frame(pairs[0], "plus")
     model = lattice_model(cf)
     assert brute_force_short_vectors(model, 1) == enumerate_short_vectors(model, 1)
 
@@ -388,7 +391,7 @@ def test_minimum_below_the_smallest_diagonal_entry():
 def test_minimal_vectors_node_count_at_k25(monkeypatch):
     # one integer square root per node visited: 6665 when both vectors of a
     # +- pair were walked, about half with x_j >= 0 under all-zero levels
-    _, cf = conference_frame(load_pairs(str(CACHE_25), 25)[0], "plus")
+    cf = conference_frame(load_pairs(str(CACHE_25), 25)[0], "plus")
     model = lattice_model(cf)
     model.ldl  # factor first, so that only the search's square roots are counted
     nodes = 0
@@ -401,7 +404,7 @@ def test_minimal_vectors_node_count_at_k25(monkeypatch):
 
     monkeypatch.setattr(lattice.math, "isqrt", counting)
     rep = minimal_vectors(model)
-    assert len(rep.vectors) == 50 and frame_vectors_are_minimal(model, rep)
+    assert len(rep.vectors) == 50 and frame_vectors_are_minimal(cf, rep)
     assert nodes <= 3400
 
 
@@ -409,7 +412,7 @@ def test_simplex_norm_inequality_with_equality_on_minimal():
     # (k+1)·sum(x²) >= k + (sum x)² for integer x != 0, equality exactly on
     # the minimal vectors of the simplex lattice
     for k in (2, 3, 4):
-        _, cf = simplex_frame(k)
+        cf = simplex_frame(k)
         model = lattice_model(cf)
         minimal = set(minimal_vectors(model).vectors)
         box = [x for x, _ in brute_force_short_vectors(model, 4)]
@@ -430,7 +433,7 @@ def test_density_line():
 
 
 def test_density_hexagonal():
-    _, cf = simplex_frame(2)
+    cf = simplex_frame(2)
     model = lattice_model(cf)
     rep = minimal_vectors(model)
     import math
@@ -439,7 +442,7 @@ def test_density_hexagonal():
 
 def test_density_scale_invariance():
     rng = random.Random(777)
-    _, cf = simplex_frame(3)
+    cf = simplex_frame(3)
     base_model = lattice_model(cf)
     base = packing_density(base_model, minimal_vectors(base_model))
     for _ in range(10):
@@ -465,8 +468,8 @@ def test_equivalence_scaled():
 
 def test_equivalence_b1_vs_b3():
     pairs = search_conference_pairs(5)
-    _, cf1 = conference_frame(pairs[0], "plus")
-    _, cf3 = conference_frame(pairs[2], "plus")
+    cf1 = conference_frame(pairs[0], "plus")
+    cf3 = conference_frame(pairs[2], "plus")
     q1 = lattice_model(cf1).gram
     q3 = lattice_model(cf3).gram
     assert scalar_orthogonal_equivalence(q1, q3) is None
@@ -516,6 +519,23 @@ def test_non_lattice_witness():
     assert all(a > b for a, b in zip(norms, norms[1:]))
     assert norms[9] < 1e-3
     assert all(t > 0 for t in norms)
+
+
+def test_non_lattice_witness_matches_a_decimal_reference_up_to_its_bound():
+    # 8(x + p·y)²/(1 + p²) at 400 digits; the float walk avoids the cancellation
+    # in x + p·y, so every norm it shows is within a few ulps of the reference
+    steps = non_lattice_witness_3_6(736)
+    norms = [t for _, t in steps]
+    assert all(t >= sys.float_info.min for t in norms)
+    assert all(a > b for a, b in zip(norms, norms[1:]))
+    with decimal.localcontext(decimal.Context(prec=400)):
+        p = (1 + decimal.Decimal(5).sqrt()) / 2
+        for coeffs, t in steps:
+            x, y = coeffs[4], coeffs[2]
+            ref = 8 * (x + p * y) ** 2 / (1 + p * p)
+            assert abs(decimal.Decimal(t) - ref) <= ref * decimal.Decimal("1e-15"), coeffs
+    with pytest.raises(ValueError, match="at most 736 steps"):
+        non_lattice_witness_3_6(737)
 
 
 def test_non_lattice_witness_domain():
