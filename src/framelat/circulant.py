@@ -20,7 +20,10 @@ Each digit of the folded square is at most 4k < B (for k < 2^14), so no digit
 carries into the next; the keys of two autocorrelations (digits at most k in
 absolute value) are equal exactly when the autocorrelations are.  A row and
 its negation have the same autocorrelation, so only rows whose first free sign
-is -1 get keyed; each keyed row stands for itself and its negation.
+is -1 get keyed; each keyed row stands for itself and its negation.  The keyed
+rows are walked in Gray-code order as integer sign masks: each row flips one
+sign of the one before, so E and Σa move by one precomputed term, and sign
+tuples are built only for the pairs that join.
 
 The brute-force audit uses no keys: it convolves each candidate half-row (aRow
 or dRow) once with ``circulant_multiply`` and checks every combination by
@@ -33,7 +36,7 @@ import json
 import os
 from fractions import Fraction
 from itertools import product
-from operator import add, mul, neg
+from operator import add
 from typing import NamedTuple
 
 from .exact import (
@@ -163,21 +166,33 @@ def is_conference(p: ConferencePair) -> bool:
 
 
 def _keyed_rows(k: int, slots: list[tuple]):
-    """(signs, autocorrelation_key) of every row that is 0 outside ``slots``,
-    takes one sign on each slot's positions and -1 on the first slot, in
-    ``product`` order of the signs.  The row with every sign flipped is the
-    negated row and has the same key, so it is left out."""
-    zero_row = sum(1 << (_DIGIT_BITS * j) for j in range(k))
+    """(mask, autocorrelation_key) of every row that is 0 outside ``slots``,
+    takes one sign on each slot's positions and -1 on the first slot.  Bit i
+    of the mask is set when slot i has sign +1, so bit 0 is never set.  The
+    row with every sign flipped is the negated row and has the same key, so
+    it is left out.
+
+    Masks come in reflected Gray-code order: consecutive rows differ in one
+    slot's sign, so E = Σ (a_j + 1)·B^j and Σa change by ±2·(that slot's
+    weight or size), one big-integer add per row."""
     weights = [sum(1 << (_DIGIT_BITS * i) for i in positions) for positions in slots]
     sizes = [len(positions) for positions in slots]
-    for rest in product((-1, 1), repeat=len(slots) - 1):
-        signs = (-1, *rest)
-        e = zero_row + sum(map(mul, signs, weights))
-        yield signs, autocorrelation_key(k, e, sum(map(mul, signs, sizes)))
+    e = sum(1 << (_DIGIT_BITS * j) for j in range(k)) - sum(weights)  # every sign -1
+    total = -sum(sizes)
+    mask = 0
+    yield mask, autocorrelation_key(k, e, total)
+    for step in range(1, 1 << (len(slots) - 1)):
+        slot = (step & -step).bit_length()  # 1 + the lowest set bit of step
+        mask ^= 1 << slot
+        sign = 2 if mask >> slot & 1 else -2
+        e += sign * weights[slot]
+        total += sign * sizes[slot]
+        yield mask, autocorrelation_key(k, e, total)
 
 
-def _negated(signs: tuple) -> tuple:
-    return tuple(map(neg, signs))
+def _mask_signs(mask: int, count: int) -> tuple:
+    """The sign tuple of a ``_keyed_rows`` mask: +1 where bit i is set, else -1."""
+    return tuple(1 if mask >> i & 1 else -1 for i in range(count))
 
 
 def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[ConferencePair]:
@@ -190,10 +205,12 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
 
     The default strategy is meet-in-the-middle on integer keys: bucket aRow
     candidates by 2k - 1 minus the key of a*a and join dRow candidates on the
-    key of d*d (``autocorrelation_key``); rows are built for joined pairs only.
-    Since (-a)*(-a) = a*a, only the half of the rows with a first sign of -1 is
-    keyed: each keyed aRow is filed under both a and -a, and each keyed dRow
-    joins as both d and -d, so the sorted result is unchanged.
+    key of d*d (``autocorrelation_key``).  Both sides are walked as sign masks
+    in Gray-code order (``_keyed_rows``); sign tuples and rows are built for
+    joined pairs only.  Since (-a)*(-a) = a*a, only the half of the rows with
+    a first sign of -1 is keyed: each keyed aRow mask is filed once and joins
+    as both a and -a, with each keyed dRow as both d and -d, and the joined
+    sign tuples are sorted, so the result does not depend on the walk's order.
     ``brute_force=True`` instead convolves each of the 2^na aRow and 2^nd dRow
     candidates once with ``circulant_multiply`` and checks all 2^(na+nd)
     combinations by adding the two stored autocorrelations entry by entry
@@ -213,13 +230,15 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
                 if tuple(map(add, aa, dd)) == target]
 
     slots = _sign_slots(k)
-    buckets: dict[int, list[tuple]] = {}
-    for asigns, key in _keyed_rows(k, slots):
-        buckets.setdefault(2 * k - 1 - key, []).extend((asigns, _negated(asigns)))
-    joined = sorted(asigns + signs
-                    for dsigns, key in _keyed_rows(k, [(0,)] + slots)
-                    for asigns in buckets.get(key, ())
-                    for signs in (dsigns, _negated(dsigns)))
+    buckets: dict[int, list[int]] = {}
+    for amask, key in _keyed_rows(k, slots):
+        buckets.setdefault(2 * k - 1 - key, []).append(amask)
+    flip_a, flip_d = (1 << na) - 1, (1 << nd) - 1
+    joined = sorted(_mask_signs(a, na) + _mask_signs(d, nd)
+                    for dmask, key in _keyed_rows(k, [(0,)] + slots)
+                    for amask in buckets.get(key, ())
+                    for a in (amask, amask ^ flip_a)
+                    for d in (dmask, dmask ^ flip_d))
     return [ConferencePair(k, _palindromic_row(k, 0, signs[:na]),
                            _palindromic_row(k, signs[na], signs[na + 1:]))
             for signs in joined]

@@ -29,7 +29,8 @@ class SingularMatrixError(ArithmeticError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised by ldl_decompose when a leading minor is <= 0."""
+    """Raised by ldl_decompose when the matrix is not symmetric or a leading
+    minor is <= 0."""
 
 
 class NegativeRadicandError(ArithmeticError):
@@ -202,11 +203,12 @@ def ldl_decompose(q: Mat) -> LDLDecomposition:
     takes pivots 0..k-1 without a row swap, row j is u_j and its pivot is the
     leading principal minor Δ_{j+1}.  Q is positive definite exactly when
     every Δ_j > 0 (Sylvester's criterion); a swap or a skipped column means a
-    zero minor.  Either way NotPositiveDefiniteError.
+    zero minor.  Either way, and for a Q that is not symmetric,
+    NotPositiveDefiniteError.
     """
     _require_square(q)
     if any(q[i][j] != q[j][i] for i in range(len(q)) for j in range(i)):
-        raise SizeMismatchError("ldl_decompose requires a symmetric matrix")
+        raise NotPositiveDefiniteError("matrix is not symmetric, so not positive definite")
     scale, a = clear_denominators(q)
     e = _eliminate(a)
     dec = LDLDecomposition(scale, e.rows)

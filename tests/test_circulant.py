@@ -173,6 +173,18 @@ def test_search_counts():
     assert len(search_conference_pairs(13)) == 12
 
 
+# pair counts at k = 15 .. 31, computed by the product-order search before the Gray-code walk
+PINNED_COUNTS = {15: 16, 17: 0, 19: 36, 21: 24, 23: 0, 25: 20, 27: 36, 29: 0, 31: 60}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_COUNTS))
+def test_search_counts_up_to_31_in_search_order(k):
+    found = search_conference_pairs(k)
+    assert len(found) == PINNED_COUNTS[k]
+    keys = [p.a_row[1:(k + 1) // 2] + p.d_row[:(k + 1) // 2] for p in found]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_search_refuses_orders_without_pairs():
     # a symmetric conference matrix has order 2 mod 4, so even k has no pairs
     for k in (1, 2, 4, 6):
@@ -240,6 +252,23 @@ def test_search_keys_half_the_rows(monkeypatch):
     monkeypatch.setattr(circulant, "autocorrelation_key", counting)
     assert search_conference_pairs(13) == per_tuple_search(13)
     assert calls == 2 ** 5 + 2 ** 6
+
+
+@pytest.mark.parametrize("k", range(3, 22, 2))
+@pytest.mark.parametrize("layout", ["aRow", "dRow"])
+def test_keyed_rows_key_every_half_mask_once(k, layout):
+    # the Gray walk's running E and Σa must give each mask the key of its row built afresh
+    slots = ([(0,)] if layout == "dRow" else []) + circulant._sign_slots(k)
+    keyed = list(circulant._keyed_rows(k, slots))
+    masks = [mask for mask, _ in keyed]
+    assert len(set(masks)) == len(masks) == 2 ** (len(slots) - 1)
+    for mask, key in keyed:
+        assert 0 <= mask < 2 ** len(slots) and not mask & 1
+        row = [0] * k
+        for i, positions in enumerate(slots):
+            for p in positions:
+                row[p] = 1 if mask >> i & 1 else -1
+        assert key == circulant._row_key(tuple(row))
 
 
 def packed(row):

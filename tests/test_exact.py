@@ -250,9 +250,13 @@ def test_ldl_identity():
     pytest.param([[1, 1, 0], [1, 1, 1], [0, 1, 5]], id="zero-minor-swap"),
     pytest.param([[0, 1], [1, 0]], id="row-swap"),  # minors 1, 1 after the swap
     pytest.param([[1, 2], [2, 1]], id="negative-minor"),  # minors 1, -3
+    pytest.param([[1, 2], [3, 4]], id="not-symmetric"),
+    pytest.param([[F(2), F(1, 3), F(0)], [F(1, 3), F(2), F(1, 2)], [F(0), F(1, 3), F(2)]],
+                 id="not-symmetric-fraction"),  # only q[1][2] != q[2][1]; symmetric, it is PD
 ])
 def test_ldl_rejects_non_positive_definite(q):
-    with pytest.raises(NotPositiveDefiniteError):
+    symmetric = all(q[i][j] == q[j][i] for i in range(len(q)) for j in range(i))
+    with pytest.raises(NotPositiveDefiniteError, match=None if symmetric else "not symmetric"):
         ldl_decompose(q)
 
 
