@@ -2,17 +2,18 @@
 
 A symmetric circulant is determined by its palindromic first row, so everything
 here works on rows.  ``circulant_solve`` (det circ(row) and quotients by it)
-and ``circulant_determinant`` eliminate the (k//2 + 1)-square matrix of
-circ(row) on palindromic rows, never the dense k x k one, and take palindromic
-rows only; inverses and ``compute_N`` are one such solve each.  The search
-enumerates sign patterns for a pair of circulants (A, D) of odd order k with A
-having a zero leading entry, looking for a*a + d*d = (2k-1)e0 under cyclic
-convolution — equivalently C^2 = (2k-1)I for the block matrix
-C = [[A, D], [D, -A]].  A symmetric conference matrix has order 2 mod 4, so
-even k has no pairs and the search refuses it.  The pair cache holds the
-search's list in the search's order, and loading checks that order.
+and ``circulant_determinant`` eliminate the (k+1)/2-square matrix of circ(row)
+on palindromic rows, never the dense k x k one, and take palindromic rows of
+odd length k only, the only order a conference pair has; inverses and
+``compute_N`` are one such solve each.  The search enumerates sign patterns
+for a pair of circulants (A, D) of odd order k with A having a zero leading
+entry, looking for a*a + d*d = (2k-1)e0 under cyclic convolution —
+equivalently C^2 = (2k-1)I for the block matrix C = [[A, D], [D, -A]].  A
+symmetric conference matrix has order 2 mod 4, so even k has no pairs and the
+search refuses it.  The pair cache holds the search's list in the search's
+order, and loading checks that order.
 
-The default search and ``is_conference`` never convolve rows.  They key each
+The search and ``is_conference`` never convolve rows.  They key each
 row a by the integer Σ_j (a*a)_j·B^j with B = 2^16 (Kronecker substitution).
 A palindromic row has a(x^-1) ≡ a(x) mod x^k - 1, so with E = Σ (a_j + 1)·B^j
 the autocorrelation is E² mod (B^k - 1) minus (2·Σa + k)·J, where J = Σ B^j.
@@ -25,9 +26,9 @@ rows are walked in Gray-code order as integer sign masks: each row flips one
 sign of the one before, so E and Σa move by one precomputed term, and sign
 tuples are built only for the pairs that join.
 
-The brute-force audit uses no keys: it convolves each candidate half-row (aRow
-or dRow) once with ``circulant_multiply`` and checks every combination by
-adding the two stored autocorrelations entry by entry.
+The oracle ``brute_force_conference_pairs`` uses no keys: it convolves each
+candidate half-row (aRow or dRow) once with ``circulant_multiply`` and checks
+every combination by adding the two stored autocorrelations entry by entry.
 """
 
 from __future__ import annotations
@@ -103,15 +104,8 @@ def _check_pattern(p: ConferencePair) -> None:
 def _sign_slots(k: int) -> list[tuple]:
     """Row positions filled by each free sign of a palindromic row of odd
     length k after its head: sign i fills positions i and k - i for
-    1 <= i <= (k-1)/2.  For even k the middle position k/2 is left out."""
+    1 <= i <= (k-1)/2."""
     return [(i, k - i) for i in range(1, (k + 1) // 2)]
-
-
-def _palindromic_slots(k: int) -> list[tuple]:
-    """Row positions sharing each coordinate of a palindromic row of length k:
-    the head, the sign slots, and k/2 alone when k is even.  Slot j starts at
-    position j, and position i lies in slot min(i, k - i)."""
-    return [(0,)] + _sign_slots(k) + ([(k // 2,)] if k % 2 == 0 else [])
 
 
 def _palindromic_row(k: int, head, signs) -> Row:
@@ -195,7 +189,7 @@ def _mask_signs(mask: int, count: int) -> tuple:
     return tuple(1 if mask >> i & 1 else -1 for i in range(count))
 
 
-def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[ConferencePair]:
+def search_conference_pairs(k: int) -> list[ConferencePair]:
     """All conference pairs of odd order k >= 3 over the palindromic sign
     parameterization.
 
@@ -203,7 +197,7 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
     (aRow signs, then dRow head and body) with -1 ordered before +1, which
     pins deterministic pair indices t1, t2, ...
 
-    The default strategy is meet-in-the-middle on integer keys: bucket aRow
+    The search is a meet-in-the-middle on integer keys: bucket aRow
     candidates by 2k - 1 minus the key of a*a and join dRow candidates on the
     key of d*d (``autocorrelation_key``).  Both sides are walked as sign masks
     in Gray-code order (``_keyed_rows``); sign tuples and rows are built for
@@ -211,24 +205,11 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
     a first sign of -1 is keyed: each keyed aRow mask is filed once and joins
     as both a and -a, with each keyed dRow as both d and -d, and the joined
     sign tuples are sorted, so the result does not depend on the walk's order.
-    ``brute_force=True`` instead convolves each of the 2^na aRow and 2^nd dRow
-    candidates once with ``circulant_multiply`` and checks all 2^(na+nd)
-    combinations by adding the two stored autocorrelations entry by entry
-    (auditing aid, independent of the keys; identical output, order included).
+    ``brute_force_conference_pairs`` is the independent oracle.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and at least 3")
     na, nd = free_sign_counts(k)
-
-    if brute_force:
-        target = (2 * k - 1,) + (0,) * (k - 1)
-        a_half = [(a, circulant_multiply(a, a))
-                  for a in (_palindromic_row(k, 0, s) for s in product((-1, 1), repeat=na))]
-        d_half = [(d, circulant_multiply(d, d))
-                  for d in (_palindromic_row(k, s[0], s[1:]) for s in product((-1, 1), repeat=nd))]
-        return [ConferencePair(k, a, d) for a, aa in a_half for d, dd in d_half
-                if tuple(map(add, aa, dd)) == target]
-
     slots = _sign_slots(k)
     buckets: dict[int, list[int]] = {}
     for amask, key in _keyed_rows(k, slots):
@@ -244,53 +225,70 @@ def search_conference_pairs(k: int, *, brute_force: bool = False) -> list[Confer
             for signs in joined]
 
 
+def brute_force_conference_pairs(k: int) -> list[ConferencePair]:
+    """Oracle for ``search_conference_pairs``, independent of its keys: the
+    same list in the same order.
+
+    Convolves each of the 2^na aRow and 2^nd dRow candidates once with
+    ``circulant_multiply`` and checks all 2^(na+nd) combinations by adding the
+    two stored autocorrelations entry by entry.
+    """
+    if k < 3 or k % 2 == 0:
+        raise ValueError("k must be odd and at least 3")
+    na, nd = free_sign_counts(k)
+    target = (2 * k - 1,) + (0,) * (k - 1)
+    a_half = [(a, circulant_multiply(a, a))
+              for a in (_palindromic_row(k, 0, s) for s in product((-1, 1), repeat=na))]
+    d_half = [(d, circulant_multiply(d, d))
+              for d in (_palindromic_row(k, s[0], s[1:]) for s in product((-1, 1), repeat=nd))]
+    return [ConferencePair(k, a, d) for a, aa in a_half for d, dd in d_half
+            if tuple(map(add, aa, dd)) == target]
+
+
 def _fold(row: Row) -> list[list]:
-    """The matrix M of circ(row) on palindromic rows, in the basis of slot
-    indicator rows: M[j][s] = Σ_{p in slot s} row[(j - p) mod k]."""
-    if not is_palindromic(row):
-        raise ValueError("circulant rows must be palindromic")
-    slots = _palindromic_slots(len(row))
+    """The matrix M of circ(row) on palindromic rows of odd length k, in the
+    basis of the head and the ``_sign_slots`` indicator rows:
+    M[j][s] = Σ_{p in slot s} row[(j - p) mod k]."""
+    if len(row) % 2 == 0 or not is_palindromic(row):
+        raise ValueError("circulant rows must be palindromic and of odd length")
+    slots = _sign_slots(len(row))
     # a negative index j - p wraps, so row[j - p] is row[(j - p) mod k]
-    return [[row[j - s[0]] + row[j - s[1]] if len(s) == 2 else row[j - s[0]] for s in slots]
-            for j in range(len(slots))]
+    return [[row[j]] + [row[j - p] + row[j - q] for p, q in slots]
+            for j in range(len(slots) + 1)]
 
 
 def _unfolded_determinant(row: Row, det_m: Fraction) -> Fraction:
-    """det circ(row) from det M = det _fold(row); see ``circulant_determinant``."""
-    if not det_m:
-        return det_m
-    edge = sum(row)
-    if len(row) % 2 == 0:
-        edge *= sum(v if i % 2 == 0 else -v for i, v in enumerate(row))
-    return det_m ** 2 / edge
+    """det circ(row) = det(M)²/c(1) from det M = det _fold(row); see
+    ``circulant_determinant``."""
+    return det_m ** 2 / sum(row) if det_m else det_m
 
 
 def circulant_determinant(row: Row) -> Fraction:
-    """det circ(row) for a palindromic row, exact, from det M of the folded
-    (k//2 + 1)-square matrix M = ``_fold(row)``.
+    """det circ(row) for a palindromic row of odd length k, exact, from det M
+    of the folded (k+1)/2-square matrix M = ``_fold(row)``.
 
     circ(row) has eigenvalue c(w^j) = Σ_i row[i]·w^(ij) on the j-th Fourier
     vector f_j (w a primitive k-th root of unity), and c(w^j) = c(w^-j) for a
     palindromic row.  It maps palindromic rows to palindromic rows; they are
-    spanned by f_0, f_j + f_(k-j) for 0 < j < k/2, and f_(k/2) for even k, so
-    M's eigenvalues are c(1), each c(w^j) with 0 < j < k/2 once, and c(-1) for
-    even k, while circ(row) has each c(w^j) with 0 < j < k/2 twice (P. J. Davis,
-    Circulant Matrices, 1979).  Hence det circ(row) = det(M)² / (c(1)·c(-1)),
-    the c(-1) for even k only.  A zero divisor is an eigenvalue of M, so then
-    det M = 0 and det circ(row) = 0.
+    spanned by f_0 and f_j + f_(k-j) for 0 < j < k/2, so M's eigenvalues are
+    c(1) and each c(w^j) with 0 < j < k/2 once, while circ(row) has each
+    c(w^j) with 0 < j < k/2 twice (P. J. Davis, Circulant Matrices, 1979).
+    Hence det circ(row) = det(M)² / c(1).  A zero c(1) is an eigenvalue of M,
+    so then det M = 0 and det circ(row) = 0.
     """
     return _unfolded_determinant(row, bareiss_determinant(_fold(row)))
 
 
-def circulant_solve(row: Row, rhs=()) -> tuple[Fraction, list[Row] | None]:
+def circulant_solve(row: Row, rhs) -> tuple[Fraction, list[Row] | None]:
     """det circ(row) and, for each r in rhs, the first row y with conv(y, row) = r.
 
-    The row and every r must be palindromic.  Reversing positions commutes
-    with circ(row), so each y is palindromic too and is fixed by its first
-    k//2 + 1 entries: one elimination of [M | r_0..r_(k//2) ...] with the
-    folded M of ``circulant_determinant`` gives det M, hence det circ(row),
-    and every y, unfolded as y[i] = y_slot[min(i, k - i)].  The rows are None
-    when circ(row) is singular.
+    The row and every r must be palindromic, of odd length k.  Reversing
+    positions commutes with circ(row), so each y is palindromic too and is
+    fixed by its first (k+1)/2 entries: one elimination of
+    [M | r_0..r_((k-1)/2) ...] with the folded M of ``circulant_determinant``
+    gives det M, hence det circ(row), and every y, unfolded as
+    y[i] = y_slot[min(i, k - i)].  The rows are None when circ(row) is
+    singular.
     """
     k = len(row)
     if any(len(r) != k for r in rhs):

@@ -218,16 +218,19 @@ def analyze_selector(label: str, cfg: RunConfig) -> dict:
         k = _selector_int(parts[1], "conference size", label)
         if k < 3 or k % 2 == 0:
             raise UsageError("conference selectors need odd k >= 3")
+        index = _selector_int(parts[2], "pair index", label) if len(parts) >= 3 else 0
+        if index < 0:
+            raise UsageError(f"pair index {index} is negative")
+        variant = parts[3] if len(parts) == 4 else None
+        if variant not in (None, "plus", "minus"):
+            raise UsageError(f"variant must be plus or minus, got {variant!r}")
         if not lattice.alpha_gate(k, 2 * k):
             return _non_lattice_report(label, k, 2 * k)
         pairs, _ = load_or_search(k, cfg)
-        index = _selector_int(parts[2], "pair index", label) if len(parts) >= 3 else 0
-        if not 0 <= index < len(pairs):
+        if index >= len(pairs):
             raise UsageError(f"pair index {index} out of range (k = {k} has {len(pairs)} pairs)")
         pair = pairs[index]
-        variant = parts[3] if len(parts) == 4 else frames.preferred_variant(pair)
-        if variant not in ("plus", "minus"):
-            raise UsageError(f"variant must be plus or minus, got {variant!r}")
+        variant = variant or frames.preferred_variant(pair)
         return lattice_report(label, frames.conference_frame(pair, variant))
     if label in EXPLICIT_FRAMES:
         return lattice_report(label, EXPLICIT_FRAMES[label]())
@@ -440,7 +443,7 @@ def _check_search_counts(cfg):
     expected = {5: 4, 13: 12}
     for k, count in expected.items():
         fast = circulant.search_conference_pairs(k)
-        slow = circulant.search_conference_pairs(k, brute_force=True)
+        slow = circulant.brute_force_conference_pairs(k)
         if fast != slow:
             return False, f"k={k}: meet-in-the-middle disagrees with brute force"
         if len(fast) != count:

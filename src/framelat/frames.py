@@ -168,16 +168,13 @@ def simplex_frame(k: int) -> CoordinateFrame:
                            basis_indices=tuple(range(1, k + 1)), coords=coords)
 
 
-def conference_seidel(p: ConferencePair) -> list:
-    """2k x 2k block Seidel matrix [[A, D], [D, -A]]."""
+def conference_frame_spec(p: ConferencePair) -> FrameSpec:
+    """The (k, 2k) frame whose Seidel matrix is the block matrix [[A, D], [D, -A]]."""
     a = circulant_matrix(p.a_row)
     d = circulant_matrix(p.d_row)
-    return ([ra + rd for ra, rd in zip(a, d)]
-            + [rd + [-v for v in ra] for ra, rd in zip(a, d)])
-
-
-def conference_frame_spec(p: ConferencePair) -> FrameSpec:
-    return FrameSpec(k=p.k, n=2 * p.k, seidel=conference_seidel(p))
+    seidel = ([ra + rd for ra, rd in zip(a, d)]
+              + [rd + [-v for v in ra] for ra, rd in zip(a, d)])
+    return FrameSpec(k=p.k, n=2 * p.k, seidel=seidel)
 
 
 def is_integral(row) -> bool:

@@ -42,6 +42,8 @@ from .frames import CoordinateFrame, basis_gram, coordinate_columns, frame_alpha
 
 F = Fraction
 
+SUBSET_BUDGET = 10 ** 6  # determinant evaluations has_basis_of_minimal_vectors may spend
+
 
 class SearchBudgetExceededError(RuntimeError):
     """Subset search hit its determinant-evaluation cap; status indeterminate."""
@@ -162,42 +164,33 @@ def _canonical(v) -> tuple:
     return tuple(v)
 
 
-def frame_coordinate_columns(cf: CoordinateFrame):
-    """Coordinates of all n frame vectors over the basis, if integral.
-
-    Returns the canonical +-representatives of ``coordinate_columns(cf)``, in
-    frame order, or None when some frame vector has a non-integer
-    coordinate and therefore is not a lattice point of the basis lattice.
-    """
-    if cf.beta != 1:
-        return None
-    return [_canonical([int(v) for v in col]) for col in coordinate_columns(cf)]
-
-
 def frame_vectors_are_minimal(cf: CoordinateFrame, report: MinVecReport) -> bool:
-    """True iff the minimal vectors of cf's basis lattice are exactly +- the frame vectors."""
-    cols = frame_coordinate_columns(cf)
-    return cols is not None and set(report.vectors) == set(cols)
+    """True iff the minimal vectors of cf's basis lattice are exactly +- the frame vectors.
+
+    A frame vector with a non-integer coordinate over the basis (beta != 1)
+    is not a lattice point, so then the answer is False.
+    """
+    return cf.beta == 1 and set(report.vectors) == {
+        _canonical([int(v) for v in col]) for col in coordinate_columns(cf)}
 
 
-def has_basis_of_minimal_vectors(model: LatticeModel, report: MinVecReport,
-                                 cap: int = 10 ** 6) -> bool:
+def has_basis_of_minimal_vectors(model: LatticeModel, report: MinVecReport) -> bool:
     """Whether k minimal vectors generate the whole lattice (determinant +-1).
 
     The identity sub-basis is checked first; every frame family built here
     resolves there.  Otherwise k-subsets are tried with exact determinants,
-    up to `cap` evaluations.
+    up to ``SUBSET_BUDGET`` evaluations.
     """
     k = model.k
     vecs = report.vectors
     units = {tuple(1 if i == t else 0 for i in range(k)) for t in range(k)}
     if units <= set(vecs):
         return True
-    budget = cap
+    budget = SUBSET_BUDGET
     for subset in combinations(vecs, k):
         budget -= 1
         if budget < 0:
-            raise SearchBudgetExceededError(f"exceeded {cap} determinant evaluations")
+            raise SearchBudgetExceededError(f"exceeded {SUBSET_BUDGET} determinant evaluations")
         if abs(bareiss_determinant([list(v) for v in subset])) == 1:
             return True
     return False
@@ -240,11 +233,19 @@ def brute_force_short_vectors(model: LatticeModel, bound_sq) -> list:
 
 
 def packing_density(model: LatticeModel, report: MinVecReport) -> float:
-    """Sphere-packing density; the one deliberately floating-point quantity."""
+    """Sphere-packing density; the one deliberately floating-point quantity.
+
+    pi^(k/2)·d^k / (Gamma(k/2 + 1)·2^k·det), taken in log space where Gamma
+    overflows a float (from k = 342 on).
+    """
     k = model.k
-    omega = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
     d = math.sqrt(float(report.min_norm_sq))
     det = float(lattice_determinant(model))
+    try:
+        omega = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
+    except OverflowError:
+        return math.exp(k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1)
+                        + k * math.log(d / 2) - math.log(det))
     return omega * d ** k / (2 ** k * det)
 
 

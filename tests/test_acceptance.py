@@ -90,7 +90,7 @@ def test_criterion_03_search_counts(pairs25_timed):
     for k, count in ((5, 4), (13, 12)):
         fast = circulant.search_conference_pairs(k)
         assert len(fast) == count, k
-        assert fast == circulant.search_conference_pairs(k, brute_force=True), k
+        assert fast == circulant.brute_force_conference_pairs(k), k
     pairs, elapsed = pairs25_timed
     assert len(pairs) == 20
     assert elapsed < 60, f"k = 25 search took {elapsed:.1f}s"

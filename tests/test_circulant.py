@@ -16,6 +16,7 @@ from framelat.circulant import (
     MalformedPatternError,
     add_scalar,
     autocorrelation_key,
+    brute_force_conference_pairs,
     circulant_determinant,
     circulant_inverse,
     circulant_matrix,
@@ -191,12 +192,12 @@ def test_search_refuses_orders_without_pairs():
         with pytest.raises(ValueError, match="odd"):
             search_conference_pairs(k)
         with pytest.raises(ValueError, match="odd"):
-            search_conference_pairs(k, brute_force=True)
+            brute_force_conference_pairs(k)
 
 
 def test_search_mitm_matches_brute_force():
     for k in range(3, 18, 2):
-        assert search_conference_pairs(k) == search_conference_pairs(k, brute_force=True)
+        assert search_conference_pairs(k) == brute_force_conference_pairs(k)
 
 
 def mirrored_row(k, head, tail):
@@ -224,7 +225,7 @@ def per_tuple_search(k):
 
 def test_brute_force_matches_per_tuple_reference():
     for k in range(3, 12, 2):
-        assert search_conference_pairs(k, brute_force=True) == per_tuple_search(k), k
+        assert brute_force_conference_pairs(k) == per_tuple_search(k), k
 
 
 def test_brute_force_convolves_each_half_row_once(monkeypatch):
@@ -236,7 +237,7 @@ def test_brute_force_convolves_each_half_row_once(monkeypatch):
         return circulant_multiply(a, b)
 
     monkeypatch.setattr(circulant, "circulant_multiply", counting)
-    assert len(search_conference_pairs(13, brute_force=True)) == 12
+    assert len(brute_force_conference_pairs(13)) == 12
     assert calls == 2 ** 6 + 2 ** 7
 
 
@@ -310,7 +311,7 @@ def test_inverse_roundtrip():
     rng = random.Random(3)
     done = 0
     while done < 25:
-        k = rng.randint(2, 9)
+        k = rng.randrange(1, 10, 2)
         row = palindromic([rng.randint(-3, 3) for _ in range(k // 2 + 1)], k)
         try:
             inv = circulant_inverse(row)
@@ -343,27 +344,13 @@ def test_inverse_of_non_numeric_row_is_not_reported_singular():
 
 @st.composite
 def palindromic_rational_rows(draw, max_len):
-    """Rational palindromic rows of length 1..max_len, singular or not.  Extra
-    draws zero c(1) = Σ row (the all-ones row is then in the kernel) and, for
-    even length, c(-1) = Σ (-1)^i row[i] (the alternating row is)."""
-    k = draw(st.integers(1, max_len))
+    """Rational palindromic rows of odd length 1..max_len, singular or not.  An
+    extra draw zeroes c(1) = Σ row (the all-ones row is then in the kernel)."""
+    k = draw(st.integers(0, (max_len - 1) // 2)) * 2 + 1
     half = [draw(st.fractions(-5, 5, max_denominator=6)) for _ in range(k // 2 + 1)]
     row = list(palindromic(half, k))
-    c1, cm1 = sum(row), sum(v if i % 2 == 0 else -v for i, v in enumerate(row))
-    zero_c1 = draw(st.booleans())
-    zero_cm1 = k % 2 == 0 and draw(st.booleans())
-    if zero_c1 and zero_cm1:
-        # row[0] += x and row[1] = row[k-1] += v move c(1) by x + w·v and
-        # c(-1) by x - w·v, where w counts the positions 1 and k - 1
-        w = len({1, k - 1})
-        x, v = -(c1 + cm1) / 2, -(c1 - cm1) / (2 * w)
-        row[0] += x
-        for i in {1, k - 1}:
-            row[i] += v
-    elif zero_c1:
-        row[0] -= c1
-    elif zero_cm1:
-        row[0] -= cm1
+    if draw(st.booleans()):
+        row[0] -= sum(row)
     return tuple(row)
 
 
@@ -387,7 +374,7 @@ def test_circulant_solve_matches_cofactor_and_convolution(row, data):
 
 def test_circulant_solve_takes_palindromic_rows_only():
     with pytest.raises(ValueError, match="palindromic"):
-        circulant_solve((1, 2, 3))
+        circulant_solve((1, 2, 3), [])
     with pytest.raises(ValueError, match="palindromic"):
         circulant_determinant((1, 2, 3, 4))
     with pytest.raises(ValueError, match="palindromic"):
@@ -396,6 +383,14 @@ def test_circulant_solve_takes_palindromic_rows_only():
         circulant_solve((3, 1, 1), [(1, 0, 0), (0, 1, 0)])
     with pytest.raises(SizeMismatchError):
         circulant_solve((3, 1, 1), [(1, 0)])
+    # palindromic but of even length: no conference pair has an even order
+    even = (3, 1, 2, 1)
+    with pytest.raises(ValueError, match="palindromic"):
+        circulant_solve(even, [(1, 0, 0, 0)])
+    with pytest.raises(ValueError, match="palindromic"):
+        circulant_determinant(even)
+    with pytest.raises(ValueError, match="palindromic"):
+        circulant_inverse(even)
 
 
 def test_compute_N_t1():

@@ -264,6 +264,12 @@ def test_analyze_conference_variant_and_range_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "analyze", "bogus:1")
     assert code == 2 and "unknown selector" in err
+    # alpha = sqrt(17), sqrt(5), sqrt(17) is irrational, yet a malformed index
+    # or variant is still a usage error
+    for label in ("conference:9:x", "conference:3:-5:plus", "conference:9:999:bogus"):
+        code, out, err = run(capsys, "analyze", label)
+        assert (code, out) == (2, ""), label
+        assert err.startswith("error: "), label
 
 
 def test_analyze_csv_flattens_surds(capsys):
@@ -441,6 +447,13 @@ def test_5x10_check_tests_compute_N(monkeypatch):
     monkeypatch.setattr(circulant, "compute_N", lambda p, alpha: tuple(-v for v in real(p, alpha)))
     ok, detail = dict(cli.verification_checks(cli.RunConfig()))["5x10"]()
     assert not ok and "N first row" in detail, detail
+
+
+def test_search_counts_check_tests_the_keyed_search(monkeypatch):
+    real = circulant.brute_force_conference_pairs
+    monkeypatch.setattr(circulant, "brute_force_conference_pairs", lambda k: real(k)[1:])
+    ok, detail = dict(cli.verification_checks(cli.RunConfig()))["search-counts"]()
+    assert not ok and "disagrees with brute force" in detail, detail
 
 
 def test_verify_all_skip_unlocks_a_clean_exit(capsys):

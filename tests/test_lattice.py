@@ -30,6 +30,7 @@ from framelat.frames import (
 )
 from framelat.lattice import (
     LatticeModel,
+    MinVecReport,
     SearchBudgetExceededError,
     alpha_gate,
     brute_force_short_vectors,
@@ -249,15 +250,16 @@ def test_basis_of_minimal_vectors_simplex():
         assert has_basis_of_minimal_vectors(model, minimal_vectors(model))
 
 
-def test_basis_of_minimal_vectors_subset_path():
+def test_basis_of_minimal_vectors_subset_path(monkeypatch):
     # minimum attained away from one unit vector, so the identity shortcut
     # misses and the subset search must find {(1,0), (1,-1)}
     model = model_from_gram([[1, 1], [1, 2]])
     rep = minimal_vectors(model)
     assert set(rep.vectors) == {(1, 0), (1, -1)}
     assert has_basis_of_minimal_vectors(model, rep)
+    monkeypatch.setattr(lattice, "SUBSET_BUDGET", 0)
     with pytest.raises(SearchBudgetExceededError):
-        has_basis_of_minimal_vectors(model, rep, cap=0)
+        has_basis_of_minimal_vectors(model, rep)
 
 
 def test_basis_of_minimal_vectors_false():
@@ -438,6 +440,17 @@ def test_density_hexagonal():
     rep = minimal_vectors(model)
     import math
     assert packing_density(model, rep) == pytest.approx(math.pi / math.sqrt(12), abs=1e-12)
+
+
+def test_density_past_the_float_range_of_gamma():
+    # Gamma(172) overflows a float, so from k = 342 on the density is taken in
+    # log space; with d = 2 and det = 1 it is the volume of the unit k-ball
+    k = 342
+    model = model_from_gram([[int(i == j) for j in range(k)] for i in range(k)])
+    density = packing_density(model, MinVecReport(min_norm_sq=F(4), vectors=[]))
+    reference = math.exp(k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1))
+    assert density == pytest.approx(reference, rel=1e-12)
+    assert density > 0
 
 
 def test_density_scale_invariance():
