@@ -284,9 +284,6 @@ class SurdValue:
             return self.radicand == 1 and self.coeff == other
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.coeff, self.radicand))
-
     def __repr__(self) -> str:
         if self.radicand == 1:
             return f"SurdValue({self.coeff})"

@@ -5,9 +5,10 @@ The equiangularity constant alpha (``frame_alpha``) and the frame bound
 gamma = n/k are derived from (k, n), and no Cartesian coordinates are kept:
 every quantity used downstream (basis Grams, determinants, minimal vectors) is
 a function of inner products, and keeping those rational sidesteps square
-roots entirely.  A frame with a distinguished basis also stores the rational
-coordinate matrix X of the remaining columns over the basis; beta, the lcm of
-X's denominators, is derived from X.  A conference pair's record
+roots entirely.  A frame with a distinguished basis also stores the k x n
+rational coordinate matrix P of every frame vector over the basis (so the
+basis columns of P are unit vectors); beta, the lcm of P's denominators, is
+derived from P.  A conference pair's record
 (``conference_data``) keeps N, N^{-1} and three determinants but not alpha,
 which k gives; a pair with a singular D has no record and no coordinate frame.
 Each construction returns its CoordinateFrame alone, whose ``frame`` is the
@@ -71,20 +72,12 @@ class FrameSpec:
     n: int
     seidel: list  # n x n integer sign matrix, zero diagonal
 
-    @functools.cached_property
-    def alpha(self) -> SurdValue:
-        return frame_alpha(self.k, self.n)
-
-    @property
-    def gamma(self) -> Fraction:
-        return F(self.n, self.k)
-
 
 @dataclass(frozen=True)
 class CoordinateFrame:
     frame: FrameSpec
     basis_indices: tuple  # k column positions, 1-based
-    coords: list  # k x (n-k) rational matrix X over the basis
+    coords: list  # k x n rational matrix P: column j is frame vector j over the basis
 
     @functools.cached_property
     def beta(self) -> int:
@@ -124,18 +117,10 @@ def basis_gram(cf: CoordinateFrame) -> Mat:
     return _gram(cf.frame, [b - 1 for b in cf.basis_indices])
 
 
-def coordinate_columns(cf: CoordinateFrame) -> Mat:
-    """The basis coordinates of every frame vector, one column per vector, in frame order."""
-    basis = {b - 1: t for t, b in enumerate(cf.basis_indices)}
-    others = iter(transpose(cf.coords))  # columns of X, in frame order
-    return [[int(i == basis[j]) for i in range(cf.frame.k)] if j in basis else next(others)
-            for j in range(cf.frame.n)]
-
-
 def gram_consistency_holds(cf: CoordinateFrame) -> bool:
     """Exact check of P'·Q·P = I + (1/alpha)·C over all column pairs."""
-    cols = coordinate_columns(cf)
-    return mat_mul(cols, mat_mul(basis_gram(cf), transpose(cols))) == full_gram(cf.frame)
+    p = cf.coords
+    return mat_mul(transpose(p), mat_mul(basis_gram(cf), p)) == full_gram(cf.frame)
 
 
 def select_basis_greedy(gram: Mat, k: int) -> tuple:
@@ -157,13 +142,13 @@ def simplex_frame(k: int) -> CoordinateFrame:
     """The k+1 unit vectors with pairwise inner product -1/k.
 
     The first k vectors are a basis and the last is minus their sum, so
-    X is a single all-(-1) column.
+    P = [I | -1].
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     n = k + 1
     seidel = [[0 if i == j else -1 for j in range(n)] for i in range(n)]
-    coords = [[F(-1)] for _ in range(k)]
+    coords = [[int(i == j) for j in range(k)] + [-1] for i in range(k)]
     return CoordinateFrame(frame=FrameSpec(k=k, n=n, seidel=seidel),
                            basis_indices=tuple(range(1, k + 1)), coords=coords)
 
@@ -225,8 +210,8 @@ def conference_data(p: ConferencePair) -> ConferenceData:
 def conference_frame(p: ConferencePair, variant: str) -> CoordinateFrame:
     """Coordinate frame over one of the two natural bases of a conference frame.
 
-    Variant "plus" takes columns 1..k as basis (Gram I + A/alpha, X = -N);
-    variant "minus" takes columns k+1..2k (Gram I - A/alpha, X = -N^{-1}).
+    Variant "plus" takes columns 1..k as basis (Gram I + A/alpha, P = [I | -N]);
+    variant "minus" takes columns k+1..2k (Gram I - A/alpha, P = [-N^{-1} | I]).
     Requires 2k-1 to be a perfect square and D invertible.
     """
     if variant not in ("plus", "minus"):
@@ -238,7 +223,10 @@ def conference_frame(p: ConferencePair, variant: str) -> CoordinateFrame:
     else:
         row, basis = data.n_inv_row, tuple(range(k + 1, 2 * k + 1))
     x = circulant_matrix([-v for v in row])
-    return CoordinateFrame(frame=conference_frame_spec(p), basis_indices=basis, coords=x)
+    unit = [[int(i == j) for j in range(k)] for i in range(k)]
+    blocks = zip(unit, x) if variant == "plus" else zip(x, unit)
+    coords = [left + right for left, right in blocks]
+    return CoordinateFrame(frame=conference_frame_spec(p), basis_indices=basis, coords=coords)
 
 
 def preferred_variant(p: ConferencePair) -> str:
@@ -265,18 +253,17 @@ _BASIS_7_28 = (1, 2, 3, 4, 5, 6, 16)
 
 
 def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> CoordinateFrame:
-    """Express the non-basis frame vectors over a basis, exactly.
+    """Express every frame vector over a basis, exactly.
 
-    X solves Q·X = (cross Gram), i.e. X = (G0'G0)^{-1} G0'G1 computed purely
-    from Gram submatrices.  Defaults to the greedy-leftmost basis.
+    P solves Q·P = (the basis rows of the full Gram), i.e. P = (B'B)^{-1} B'V
+    for basis vectors B among the frame vectors V, computed purely from Gram
+    entries.  Defaults to the greedy-leftmost basis.
     """
     gram = full_gram(spec)
     basis = tuple(basis_indices) if basis_indices else select_basis_greedy(gram, spec.k)
-    idx = [b - 1 for b in basis]
-    others = [j for j in range(spec.n) if j not in idx]
-    q = [[gram[i][j] for j in idx] for i in idx]
-    rhs = [[gram[i][j] for j in others] for i in idx]
-    return CoordinateFrame(frame=spec, basis_indices=basis, coords=solve_linear(q, rhs))
+    rows = [gram[b - 1] for b in basis]
+    q = [[row[b - 1] for b in basis] for row in rows]
+    return CoordinateFrame(frame=spec, basis_indices=basis, coords=solve_linear(q, rows))
 
 
 def _explicit_frame(vectors, k: int, basis: tuple | None = None) -> CoordinateFrame:
@@ -346,7 +333,7 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
 
     tight = False
     if seidel_ok:
-        alpha, gamma = spec.alpha, spec.gamma
+        alpha, gamma = frame_alpha(k, n), F(n, k)
         diag = (gamma - 1) * alpha.squared()
         lin = (gamma - 2) * alpha.coeff if alpha.radicand == 1 else 0
         surd_ok = alpha.radicand == 1 or all((gamma - 2) * v == 0 for row in c for v in row)

@@ -38,7 +38,7 @@ from .exact import (
     mat_inverse,
     sqrt_rational,
 )
-from .frames import CoordinateFrame, basis_gram, coordinate_columns, frame_alpha
+from .frames import CoordinateFrame, basis_gram, frame_alpha
 
 F = Fraction
 
@@ -171,7 +171,7 @@ def frame_vectors_are_minimal(cf: CoordinateFrame, report: MinVecReport) -> bool
     is not a lattice point, so then the answer is False.
     """
     return cf.beta == 1 and set(report.vectors) == {
-        _canonical([int(v) for v in col]) for col in coordinate_columns(cf)}
+        _canonical([int(v) for v in col]) for col in zip(*cf.coords)}
 
 
 def has_basis_of_minimal_vectors(model: LatticeModel, report: MinVecReport) -> bool:
@@ -232,21 +232,33 @@ def brute_force_short_vectors(model: LatticeModel, bound_sq) -> list:
     return sorted(canon.items())
 
 
+def _log(r) -> float:
+    """Natural log of a positive rational, from its exact numerator and denominator."""
+    return math.log(r.numerator) - math.log(r.denominator)
+
+
 def packing_density(model: LatticeModel, report: MinVecReport) -> float:
     """Sphere-packing density; the one deliberately floating-point quantity.
 
-    pi^(k/2)·d^k / (Gamma(k/2 + 1)·2^k·det), taken in log space where Gamma
-    overflows a float (from k = 342 on).
+    pi^(k/2)·d^k / (Gamma(k/2 + 1)·2^k·det).  Where a float of d², det or
+    Gamma overflows or reaches 0 (Gamma from k = 342 on, d² and det on Grams
+    scaled past the float range), it is taken in logs of the exact d² and
+    det instead; density is scale invariant, so it stays finite there.
     """
     k = model.k
-    d = math.sqrt(float(report.min_norm_sq))
-    det = float(lattice_determinant(model))
+    vol = lattice_determinant(model)
     try:
+        d = math.sqrt(float(report.min_norm_sq))
+        det = float(vol)
         omega = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
-    except OverflowError:
-        return math.exp(k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1)
-                        + k * math.log(d / 2) - math.log(det))
-    return omega * d ** k / (2 ** k * det)
+        density = omega * d ** k / (2 ** k * det)
+    except (OverflowError, ZeroDivisionError):
+        density = 0.0
+    if density > 0:
+        return density
+    log_det = _log(vol.coeff) + math.log(vol.radicand) / 2
+    return math.exp(k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1)
+                    + k * (_log(report.min_norm_sq) / 2 - math.log(2)) - log_det)
 
 
 def scalar_orthogonal_equivalence(q1: Mat, q2: Mat):

@@ -410,6 +410,25 @@ def test_cli_import_loads_no_numpy():
     assert out.strip() == "False"
 
 
+def test_module_entry_point_runs_main(tmp_path, capsys):
+    # the documented python3 -m framelat.cli reaches main() only through its
+    # __main__ guard, which no in-process test runs
+    src = os.path.dirname(os.path.dirname(framelat.__file__))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-X", "dev", "-m", "framelat.cli", *argv],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True)
+
+    done = module("analyze", "simplex:4", "--format", "json")
+    code, out, _ = run(capsys, "analyze", "simplex:4", "--format", "json")
+    assert (done.returncode, code) == (0, 0)
+    assert done.stdout == out.encode()
+    bad = module("analyze", "bogus:1")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith(b"error: ")
+
+
 def test_verify_all_reports_the_one_known_failure(capsys):
     code, out, _ = run(capsys, "verify-all", "--format", "json")
     assert code == 1

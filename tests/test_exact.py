@@ -317,6 +317,7 @@ def test_sqrt_rational_perfect_square():
     s = sqrt_rational(F(48, 3 ** 5))
     assert s == F(4, 9)
     assert s.radicand == 1
+    assert len({sqrt_rational(4), SurdValue(F(2))}) == 1
 
 
 def test_sqrt_rational_surd():

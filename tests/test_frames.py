@@ -27,6 +27,7 @@ from framelat.frames import (
     conference_frame_spec,
     frame_6_16,
     frame_7_28,
+    frame_alpha,
     full_gram,
     gram_consistency_holds,
     select_basis_greedy,
@@ -48,19 +49,14 @@ def test_simplex_small():
     spec = cf.frame
     g = full_gram(spec)
     assert all(g[i][j] == (1 if i == j else F(-1, 3)) for i in range(4) for j in range(4))
-    assert cf.coords == [[-1], [-1], [-1]]
+    assert cf.coords == [[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
     assert cf.beta == 1
     assert gram_consistency_holds(cf)
 
 
-def test_simplex_gamma():
-    spec = simplex_frame(2).frame
-    assert spec.gamma == F(3, 2)
-
-
 def test_simplex_alpha_and_gerzon():
     spec = simplex_frame(9).frame
-    assert spec.alpha == SurdValue(F(9))
+    assert frame_alpha(spec.k, spec.n) == SurdValue(F(9))
     rep = validate_frame(spec)
     assert rep.all_ok
 
@@ -85,12 +81,13 @@ def test_conference_plus_5_10():
     cf = conference_frame(pairs[0], "plus")
     spec = cf.frame
     assert (spec.k, spec.n) == (5, 10)
-    assert spec.alpha == SurdValue(F(3))
+    assert frame_alpha(spec.k, spec.n) == SurdValue(F(3))
     q = basis_gram(cf)
     # basis Gram is I + A/3
     assert q[0][0] == 1 and q[0][2] == F(1, 3)
-    assert cf.beta == 1  # X = -N is integral
-    assert cf.coords[0] == [-1, 0, 1, 1, 0]
+    assert cf.beta == 1  # -N is integral
+    assert cf.coords[0][:5] == [1, 0, 0, 0, 0]
+    assert cf.coords[0][5:] == [-1, 0, 1, 1, 0]
     assert gram_consistency_holds(cf)
     assert validate_frame(spec).all_ok
 
@@ -101,7 +98,7 @@ def test_conference_minus_5_10():
     spec = cf.frame
     assert cf.basis_indices == (6, 7, 8, 9, 10)
     # N is unimodular here (|det N| = |det(A-3I)| / |det D| = 48/48), so
-    # X = -N^{-1} is integral as well
+    # -N^{-1} is integral as well
     assert cf.beta == 1
     assert gram_consistency_holds(cf)
 
@@ -129,7 +126,7 @@ def test_conference_spec_irrational_still_tight():
     # the frame itself exists for k=3; tightness holds in the field extension
     pairs = search_conference_pairs(3)
     spec = conference_frame_spec(pairs[0])
-    assert spec.alpha.radicand == 5
+    assert frame_alpha(spec.k, spec.n).radicand == 5
     rep = validate_frame(spec)
     assert rep.all_ok
 
@@ -209,7 +206,7 @@ def test_frame_6_16():
     cf = frame_6_16()
     spec = cf.frame
     assert (spec.k, spec.n) == (6, 16)
-    assert spec.gamma == F(8, 3)
+    assert F(spec.n, spec.k) == F(8, 3)
     assert cf.basis_indices == (1, 2, 3, 4, 5, 9)
     assert cf.beta == 1
     assert det_of_basis_gram(cf) == F(2 ** 6, 3 ** 6)
@@ -236,7 +233,7 @@ def test_frame_7_28():
     cf = frame_7_28()
     spec = cf.frame
     assert (spec.k, spec.n) == (7, 28)
-    assert spec.gamma == 4
+    assert F(spec.n, spec.k) == 4
     assert cf.basis_indices == (1, 2, 3, 4, 5, 6, 16)
     assert cf.beta == 1
     assert det_of_basis_gram(cf) == F(2 ** 6, 3 ** 7)
@@ -279,25 +276,26 @@ STORED_BETAS = {
 }
 
 
+def alpha_gamma(spec):
+    """The equiangularity constant and the frame bound, both functions of (k, n)."""
+    return frame_alpha(spec.k, spec.n), F(spec.n, spec.k)
+
+
 def test_derived_fields_equal_the_formerly_stored_values():
     for k in range(2, 13):
         cf = simplex_frame(k)
-        spec = cf.frame
-        assert (spec.alpha, spec.gamma, cf.beta) == (SurdValue(F(k)), F(k + 1, k), 1)
+        assert (*alpha_gamma(cf.frame), cf.beta) == (SurdValue(F(k)), F(k + 1, k), 1)
     spec = conference_frame_spec(search_conference_pairs(3)[0])
-    assert (spec.alpha, spec.gamma) == (SurdValue(F(1), 5), 2)
+    assert alpha_gamma(spec) == (SurdValue(F(1), 5), 2)
     for k, (plus, minus) in STORED_BETAS.items():
         for p, beta_plus, beta_minus in zip(conference_pairs(k), plus, minus, strict=True):
             for variant, beta in (("plus", beta_plus), ("minus", beta_minus)):
                 cf = conference_frame(p, variant)
-                spec = cf.frame
-                assert spec.alpha == SurdValue(F({5: 3, 13: 5, 25: 7}[k]))
-                assert spec.gamma == 2
+                assert alpha_gamma(cf.frame) == (SurdValue(F({5: 3, 13: 5, 25: 7}[k])), 2)
                 assert cf.beta == int(beta), (k, p, variant)
     for build, gamma in ((frame_6_16, F(8, 3)), (frame_7_28, F(4))):
         cf = build()
-        spec = cf.frame
-        assert (spec.alpha, spec.gamma, cf.beta) == (SurdValue(F(3)), gamma, 1)
+        assert (*alpha_gamma(cf.frame), cf.beta) == (SurdValue(F(3)), gamma, 1)
 
 
 def flipped(spec):
@@ -310,7 +308,7 @@ def flipped(spec):
 def gram_is_tight(spec):
     """M² = gamma·M on the rational Gram M, with denominators cleared first."""
     scale, m = clear_denominators(full_gram(spec))
-    g = spec.gamma * scale
+    g = F(spec.n, spec.k) * scale
     return mat_mul(m, m) == [[g * v for v in row] for row in m]
 
 
@@ -335,11 +333,12 @@ def test_tightness_identity_agrees_with_the_surd_split():
     relabelled = FrameSpec(k=4, n=6, seidel=spec.seidel)
     verdicts = []
     for s in (spec, flipped(spec), relabelled):
+        alpha, gamma = alpha_gamma(s)
         cc = mat_mul(s.seidel, s.seidel)
-        rational_part = cc == [[(s.gamma - 1) * s.alpha.squared() * (i == j) for j in range(6)]
+        rational_part = cc == [[(gamma - 1) * alpha.squared() * (i == j) for j in range(6)]
                                for i in range(6)]
-        surd_part = all((s.gamma - 2) * v == 0 for row in s.seidel for v in row)
-        assert s.alpha.radicand > 1
+        surd_part = all((gamma - 2) * v == 0 for row in s.seidel for v in row)
+        assert alpha.radicand > 1
         assert validate_frame(s).tightness_ok == (rational_part and surd_part)
         verdicts.append((rational_part, surd_part))
     assert verdicts == [(True, True), (False, True), (True, False)]

@@ -24,7 +24,9 @@ from framelat.frames import (
     conference_frame,
     coordinatize,
     frame_6_16,
+    frame_7_28,
     frame_alpha,
+    gram_consistency_holds,
     preferred_variant,
     simplex_frame,
 )
@@ -96,7 +98,7 @@ def test_alpha_gate_domain():
 
 def test_lattice_test_simplex():
     cf = coordinatize(simplex_frame(5).frame)
-    assert cf.coords == [[-1]] * 5
+    assert [row[5:] for row in cf.coords] == [[-1]] * 5
     assert cf.beta == 1
 
 
@@ -108,12 +110,36 @@ def test_lattice_test_6_16():
     assert cf.coords == built.coords
 
 
-def test_lattice_test_matches_minus_N():
-    pairs = search_conference_pairs(5)
-    built = conference_frame(pairs[0], "plus")
-    cf = coordinatize(built.frame)
-    assert cf.basis_indices == (1, 2, 3, 4, 5)
-    assert cf.coords == built.coords  # X = -N falls out of the Gram solve
+COORDINATE_FRAMES = (
+    [f"simplex:{k}" for k in range(2, 9)]
+    + [f"conference:{k}:{i}:{variant}" for k, count in ((5, 4), (13, 12), (25, 1))
+       for i in range(count) for variant in ("plus", "minus")]
+    + ["explicit:6x16", "explicit:7x28"])
+
+
+def frame_by_label(label):
+    family, *args = label.split(":")
+    if family == "simplex":
+        return simplex_frame(int(args[0]))
+    if family == "explicit":
+        return {"6x16": frame_6_16, "7x28": frame_7_28}[args[0]]()
+    k, index, variant = int(args[0]), int(args[1]), args[2]
+    pairs = load_pairs(str(CACHE_25), 25) if k == 25 else search_conference_pairs(k)
+    return conference_frame(pairs[index], variant)
+
+
+@pytest.mark.parametrize("label", COORDINATE_FRAMES)
+def test_lattice_test_matches_minus_N(label):
+    # P = [I | -N] (plus) and [-N^{-1} | I] (minus) come from the circulant
+    # solve; the Gram solve over the same basis is a second algorithm for both
+    cf = frame_by_label(label)
+    k, n = cf.frame.k, cf.frame.n
+    assert len(cf.coords) == k and all(len(row) == n for row in cf.coords)
+    columns = list(zip(*cf.coords))
+    units = [tuple(int(i == t) for i in range(k)) for t in range(k)]
+    assert [columns[b - 1] for b in cf.basis_indices] == units
+    assert gram_consistency_holds(cf)
+    assert coordinatize(cf.frame, cf.basis_indices).coords == cf.coords
 
 
 def test_lattice_test_irrational():
@@ -238,7 +264,7 @@ def test_minimal_6_16():
 
 def test_frame_vectors_trivial_when_basis_is_whole_frame():
     spec = FrameSpec(k=2, n=2, seidel=[[0, 0], [0, 0]])
-    cf = CoordinateFrame(frame=spec, basis_indices=(1, 2), coords=[[], []])
+    cf = CoordinateFrame(frame=spec, basis_indices=(1, 2), coords=[[1, 0], [0, 1]])
     rep = minimal_vectors(LatticeModel([[F(1), F(0)], [F(0), F(1)]]))
     assert frame_vectors_are_minimal(cf, rep)
 
@@ -451,6 +477,17 @@ def test_density_past_the_float_range_of_gamma():
     reference = math.exp(k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1))
     assert density == pytest.approx(reference, rel=1e-12)
     assert density > 0
+
+
+@pytest.mark.parametrize("scale", [F(10 ** 700), F(1, 10 ** 700)], ids=["1e700", "1e-700"])
+def test_density_past_the_float_range_of_the_gram(scale):
+    # a float of the minimum and of the determinant overflows at 10^700 and is
+    # 0 at 10^-700; density is scale invariant, so both are the square
+    # lattice's pi/4, taken in logs of the exact values
+    model = model_from_gram([[scale, 0], [0, scale]])
+    rep = minimal_vectors(model)
+    assert rep.min_norm_sq == scale
+    assert packing_density(model, rep) == pytest.approx(math.pi / 4, rel=1e-12)
 
 
 def test_density_scale_invariance():
