@@ -27,8 +27,9 @@ sign of the one before, so E and Σa move by one precomputed term, and sign
 tuples are built only for the pairs that join.
 
 The oracle ``brute_force_conference_pairs`` uses no keys: it convolves each
-candidate half-row (aRow or dRow) once with ``circulant_multiply`` and checks
-every combination by adding the two stored autocorrelations entry by entry.
+candidate half-row (aRow or dRow) once with ``circulant_multiply``, stores
+(2k-1)e0 - d*d for each dRow, and checks every combination by comparing a*a
+with that tuple.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import json
 import os
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import sub
 from typing import NamedTuple
 
 from .exact import (
@@ -230,8 +231,8 @@ def brute_force_conference_pairs(k: int) -> list[ConferencePair]:
     same list in the same order.
 
     Convolves each of the 2^na aRow and 2^nd dRow candidates once with
-    ``circulant_multiply`` and checks all 2^(na+nd) combinations by adding the
-    two stored autocorrelations entry by entry.
+    ``circulant_multiply``, stores (2k-1)e0 - d*d for each dRow, and checks all
+    2^(na+nd) combinations by comparing a*a with that tuple.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and at least 3")
@@ -239,10 +240,9 @@ def brute_force_conference_pairs(k: int) -> list[ConferencePair]:
     target = (2 * k - 1,) + (0,) * (k - 1)
     a_half = [(a, circulant_multiply(a, a))
               for a in (_palindromic_row(k, 0, s) for s in product((-1, 1), repeat=na))]
-    d_half = [(d, circulant_multiply(d, d))
+    d_half = [(d, tuple(map(sub, target, circulant_multiply(d, d))))
               for d in (_palindromic_row(k, s[0], s[1:]) for s in product((-1, 1), repeat=nd))]
-    return [ConferencePair(k, a, d) for a, aa in a_half for d, dd in d_half
-            if tuple(map(add, aa, dd)) == target]
+    return [ConferencePair(k, a, d) for a, aa in a_half for d, rest in d_half if aa == rest]
 
 
 def _fold(row: Row) -> list[list]:

@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -616,9 +617,12 @@ def _check_property_suites():
         g = _random_pd_gram(rng, k)
         dec = ldl_decompose(g)
         u, delta = dec.rows, [1, *dec.minors]
-        back = [[sum(Fraction(u[t][i] * u[t][j], delta[t] * delta[t + 1]) for t in range(k))
-                 for j in range(k)] for i in range(k)]
-        if back != [[dec.scale * e for e in row] for row in g]:
+        # scale·g = Σ_t u_t u_t' / (Δ_t Δ_{t+1}), both sides times m = lcm(Δ_t Δ_{t+1})
+        m = math.lcm(*(delta[t] * delta[t + 1] for t in range(k)))
+        w = [m // (delta[t] * delta[t + 1]) for t in range(k)]
+        back = [[sum(w[t] * u[t][i] * u[t][j] for t in range(k)) for j in range(k)]
+                for i in range(k)]
+        if back != [[m * dec.scale * e for e in row] for row in g]:
             return False, f"LDL reconstruction failed on trial {trial}"
     for trial in range(100):  # surd normalization idempotence
         value = Fraction(rng.randint(1, 500), rng.randint(1, 60))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 Mat = list[list[Fraction]]
@@ -57,7 +58,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     if len(a[0]) != len(b):
         raise SizeMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def clear_denominators(m: Sequence[Sequence[Rational]]) -> tuple[int, list[list[int]]]:

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from .circulant import (
@@ -267,19 +268,36 @@ def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> Coordin
 
 
 def _explicit_frame(vectors, k: int, basis: tuple | None = None) -> CoordinateFrame:
-    """Build a frame from integer vector representatives of one common length |v|²."""
-    alpha = rational_alpha(k, len(vectors))
+    """Build a frame from integer vector representatives of one common length |v|².
+
+    Seidel entry (i, j) is alpha·(v_i·v_j)/|v|², less alpha on the diagonal,
+    taken from the integer dot product with one divmod and mirrored, so each
+    unordered pair costs one dot product.  ValueError when an entry is not an
+    integer, a diagonal entry (a vector of another length) is not 0, or an
+    off-diagonal entry is not +-1: such vectors are not a unit frame's.
+    """
+    n = len(vectors)
+    alpha = rational_alpha(k, n)
     scale = sum(x * x for x in vectors[0])
-    seidel = []
-    for i, u in enumerate(vectors):
-        row = []
-        for j, w in enumerate(vectors):
-            v = alpha * F(sum(x * y for x, y in zip(u, w)), scale) - (alpha if i == j else 0)
-            if v.denominator != 1:
-                raise ValueError(f"Seidel entry ({i}, {j}) = {v} is not an integer")
-            row.append(int(v))
-        seidel.append(row)
-    return coordinatize(FrameSpec(k=k, n=len(vectors), seidel=seidel), basis)
+    den = alpha.denominator * scale
+
+    def entry(i: int, j: int) -> int:
+        t = alpha.numerator * (sum(map(mul, vectors[i], vectors[j])) - (scale if i == j else 0))
+        v, r = divmod(t, den)
+        if r:
+            raise ValueError(f"Seidel entry ({i}, {j}) = {F(t, den)} is not an integer")
+        return v
+
+    for i in range(n):
+        if v := entry(i, i):
+            raise ValueError(f"Seidel entry ({i}, {i}) = {v} is not 0")
+    seidel = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        v = entry(i, j)
+        if v not in (-1, 1):
+            raise ValueError(f"Seidel entry ({i}, {j}) = {v} is not +-1")
+        seidel[i][j] = seidel[j][i] = v
+    return coordinatize(FrameSpec(k=k, n=n, seidel=seidel), basis)
 
 
 def frame_6_16() -> CoordinateFrame:

@@ -13,7 +13,11 @@ representative as the other.  Partial centres are summed over the nonzero
 coordinates only.  Each leaf's remainder gives its exact norm, so the search
 returns (vector, norm) pairs and nothing recomputes a norm from the Gram.  The
 search is cross-checked elsewhere, vectors and norms, against a certified
-brute-force box scan.  A MinVecReport keeps the minimum and one representative
+brute-force box scan on the dual-certificate box: it visits every head of the
+first k-1 coordinates and, for the last one, only the integer interval
+between the roots of the head's quadratic in it (from math.isqrt of the
+discriminant, widened by 1 on each side and clipped to the box), testing
+every candidate's norm.  A MinVecReport keeps the minimum and one representative
 per +- pair; the count with signs is twice their number.  The alpha gate is a
 bool: irrational alpha, no lattice.
 """
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 
 from .exact import (
     LDLDecomposition,
@@ -217,15 +222,24 @@ def brute_force_short_vectors(model: LatticeModel, bound_sq) -> list:
     q_int = [[int(F(gram[i][j]) * den) for j in range(k)] for i in range(k)]
     bound_int = int(bound * den)
 
-    # x'Qx = h'Q_hh h + t·(2·q_th·h + q_tt·t) for x = (h, t): one inner loop
-    # per head h over the last coordinate t
+    # x'Qx = h'Q_hh h + t·(2·q_th·h + q_tt·t) for x = (h, t).  For each head h,
+    # x'Qx <= bound holds between the roots (-lin ± sqrt(disc)) / (2·q_tt) of a
+    # quadratic in t; they are rounded inward from isqrt(disc), widened by 1 so
+    # that no rounding decides a candidate, and clipped to the box, and every t
+    # left is tested
     *head_radii, r_last = radii
     q_last = q_int[-1]
+    two_q = 2 * q_last[-1]
     canon = {}
     for head in product(*(range(-r, r + 1) for r in head_radii)):
-        base = sum(hi * sum(q * hj for q, hj in zip(row, head)) for hi, row in zip(head, q_int))
-        lin = 2 * sum(q * hj for q, hj in zip(q_last, head))
-        for t in range(-r_last, r_last + 1):
+        base = sum(hi * sum(map(mul, row, head)) for hi, row in zip(head, q_int))
+        lin = 2 * sum(map(mul, q_last, head))
+        disc = lin * lin - 2 * two_q * (base - bound_int)
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        for t in range(max(-r_last, -((lin + s) // two_q) - 1),
+                       min(r_last, (s - lin) // two_q + 1) + 1):
             norm = base + t * (lin + q_last[-1] * t)
             if norm <= bound_int and (t or any(head)):
                 canon[_canonical(head + (t,))] = F(norm, den)
@@ -272,8 +286,13 @@ def scalar_orthogonal_equivalence(q1: Mat, q2: Mat):
         raise SizeMismatchError("grams differ in size")
     pairs = [(a, b) for r1, r2 in zip(q1, q2) for a, b in zip(r1, r2)]
     ratio = next((F(a) / b for a, b in pairs if b != 0), None)
-    if ratio is None or ratio <= 0 or any(a != ratio * b for a, b in pairs):
+    if ratio is None or ratio <= 0:
         return None
+    # a = (p/q)·b, cross-multiplied over the numerators and denominators
+    p, q = ratio.numerator, ratio.denominator
+    for a, b in pairs:
+        if a.numerator * b.denominator * q != p * b.numerator * a.denominator:
+            return None
     return ratio
 
 

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import framelat
-from framelat import circulant, cli, frames, geometry
+from framelat import circulant, cli, frames, geometry, lattice
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -498,6 +498,30 @@ def test_verify_report_honors_fine_grained_skips():
     assert [c["label"] for c in report["checks"]] == ["alpha-gate"]
     assert report["passed"] == 1 and report["failed"] == 0
     assert len(report["skipped"]) == 10
+
+
+def test_properties_fail_on_an_ldl_row_off_by_one(monkeypatch):
+    real = cli.ldl_decompose
+
+    def broken(q):
+        dec = real(q)
+        rows = [list(row) for row in dec.rows]
+        rows[0][-1] += 1
+        return dec._replace(rows=rows)
+
+    monkeypatch.setattr(cli, "ldl_decompose", broken)
+    assert cli._check_property_suites() == (False, "LDL reconstruction failed on trial 0")
+
+
+def test_properties_fail_on_a_wrong_equivalence_ratio(monkeypatch):
+    real = lattice.scalar_orthogonal_equivalence
+
+    def reciprocal(q1, q2):
+        ratio = real(q1, q2)
+        return None if ratio is None else 1 / ratio
+
+    monkeypatch.setattr(lattice, "scalar_orthogonal_equivalence", reciprocal)
+    assert cli._check_property_suites() == (False, "symmetry failed on a scaled copy")
 
 
 def test_demo_nonlattice_rows(capsys):

@@ -248,6 +248,19 @@ def test_explicit_frame_rejects_a_non_integer_seidel_entry():
         _explicit_frame([[2, 0], [1, 0], [0, 1]], 2)
 
 
+def test_explicit_frame_rejects_vectors_that_are_not_a_frame():
+    # one common length, but the first two vectors are equal: Seidel entry
+    # (0, 1) = alpha·2/2 = 2, which no unit frame has
+    with pytest.raises(ValueError, match=r"\(0, 1\) = 2 is not \+-1"):
+        _explicit_frame([[1, 1], [1, 1], [1, -1]], 2)
+
+
+def test_explicit_frame_rejects_a_nonzero_diagonal_entry():
+    # lengths 4, 4 and 16: the diagonal entry alpha·16/4 - alpha = 6 at (2, 2)
+    with pytest.raises(ValueError, match=r"\(2, 2\) = 6 is not 0"):
+        _explicit_frame([[2, 0], [0, 2], [4, 0]], 2)
+
+
 def test_greedy_basis_simplex():
     spec = simplex_frame(5).frame
     assert select_basis_greedy(full_gram(spec), 5) == (1, 2, 3, 4, 5)

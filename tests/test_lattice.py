@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,8 @@ from framelat.exact import (
     NotPositiveDefiniteError,
     SurdValue,
     bareiss_determinant,
+    floor_sqrt,
+    mat_inverse,
     mat_mul,
     transpose,
 )
@@ -318,6 +321,38 @@ def test_brute_force_matches_fincke_pohst_random():
             assert (tuple(y), bound) in found or (tuple(-v for v in y), bound) in found
 
 
+def naive_box_scan(model, bound):
+    """Every point of the dual-certificate box |x_i| <= sqrt(bound·(Q^-1)_ii),
+    its norm in Fractions, one (x, x'Qx) per +- pair, x's first nonzero
+    coordinate positive."""
+    inv = mat_inverse(model.gram)
+    radii = [floor_sqrt(bound * inv[i][i]) for i in range(model.k)]
+    found = {}
+    for x in product(*(range(-r, r + 1) for r in radii)):
+        t = norm(model, x)
+        if any(x) and t <= bound:
+            found[x if next(v for v in x if v) > 0 else tuple(-v for v in x)] = t
+    return sorted(found.items())
+
+
+def test_brute_force_matches_a_naive_box_scan():
+    # k = 1 has an empty head; fractional bounds put the roots of the last
+    # coordinate's quadratic off the integers, attained ones on them
+    rng = random.Random(20251)
+    for trial in range(60):
+        k = 1 + trial % 5
+        model = model_from_gram(random_pd_gram(rng, k))
+        if trial % 3 == 0:
+            bound = F(rng.randint(1, 4))
+        elif trial % 3 == 1:
+            bound = F(rng.randint(1, 9), rng.randint(2, 5))
+        else:
+            y = [rng.randint(-1, 1) for _ in range(k)]
+            y[rng.randrange(k)] = 1
+            bound = norm(model, y)
+        assert brute_force_short_vectors(model, bound) == naive_box_scan(model, bound)
+
+
 def test_brute_force_named_lattices():
     pairs = search_conference_pairs(5)
     cf = conference_frame(pairs[0], "plus")
@@ -541,6 +576,40 @@ def test_equivalence_is_equivalence_relation():
         assert scalar_orthogonal_equivalence(q2, q) == c
         assert scalar_orthogonal_equivalence(q, q2) == 1 / c
         assert scalar_orthogonal_equivalence(q3, q) == c * d
+
+
+def reference_ratio(q1, q2):
+    """c with q1 = c·q2 entrywise and c > 0, in Fractions, or None."""
+    entries = [(F(a), F(b)) for r1, r2 in zip(q1, q2) for a, b in zip(r1, r2)]
+    ratios = [a / b for a, b in entries if b != 0]
+    if not ratios or ratios[0] <= 0 or any(a != ratios[0] * b for a, b in entries):
+        return None
+    return ratios[0]
+
+
+@pytest.mark.parametrize("q1, q2, want", [
+    # a zero in q2 where q1 is nonzero, and the reverse
+    ([[2, 1], [1, 2]], [[4, 0], [2, 4]], None),
+    ([[2, 0], [1, 2]], [[4, 2], [2, 4]], None),
+    # q2's first nonzero entry away from (0, 0)
+    ([[0, 3], [3, 6]], [[0, 1], [1, 2]], 3),
+    ([[0, 0], [0, F(5, 2)]], [[0, 0], [0, F(1, 2)]], 5),
+    # a negative ratio, a zero ratio and an all-zero q2
+    ([[-2, -1], [-1, -2]], [[2, 1], [1, 2]], None),
+    ([[0, 0], [0, 0]], [[2, 1], [1, 2]], None),
+    ([[2, 1], [1, 2]], [[0, 0], [0, 0]], None),
+    # mixed int and Fraction entries
+    ([[F(3, 2), 3], [3, F(9, 2)]], [[1, 2], [F(2), 3]], F(3, 2)),
+    ([[3, F(3, 7)], [F(3, 7), 6]], [[F(7), 1], [1, 14]], F(3, 7)),
+    # a mismatch only in the last entry
+    ([[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[4, 2, 0], [2, 4, 2], [0, 2, 5]], None),
+    ([[2, 1, 0], [1, 2, 1], [0, 1, F(5, 2)]], [[4, 2, 0], [2, 4, 2], [0, 2, 4]], None),
+])
+def test_equivalence_matches_the_fraction_definition(q1, q2, want):
+    assert reference_ratio(q1, q2) == want
+    got = scalar_orthogonal_equivalence(q1, q2)
+    assert got == want
+    assert want is None or type(got) is Fraction
 
 
 def test_equivalence_classes_small():
