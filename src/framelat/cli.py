@@ -27,7 +27,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -45,8 +44,7 @@ from .exact import (
 KNOWN_SEARCH_SIZES = (5, 13, 25)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     cache_path: str | None = None
     no_cache: bool = False
     skip: Sequence[str] = ()
@@ -816,7 +814,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     given = vars(args)
-    cfg = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+    cfg = RunConfig(**{name: given[name] for name in RunConfig._fields if name in given})
     try:
         record = command.report(args, cfg)
     except UsageError as exc:

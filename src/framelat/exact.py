@@ -14,7 +14,6 @@ Floating point appears only in ``SurdValue.__float__``, for printing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -251,26 +250,32 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return m, f * n
 
 
-@dataclass(frozen=True)
 class SurdValue:
     """An exact value coeff·√radicand with squarefree radicand.
 
     radicand == 1 exactly when the value is rational.  Only the operations
-    the package needs are provided: equality and float conversion.
+    the package needs are provided: equality, hashing and float conversion.
+    A rational value equals, and hashes like, its coefficient.  Instances are
+    immutable: assigning or deleting a field raises AttributeError.
     """
 
-    coeff: Fraction
-    radicand: int = 1
+    __slots__ = ("coeff", "radicand")
 
-    def __post_init__(self) -> None:
-        if self.radicand < 0:
+    def __init__(self, coeff: Fraction, radicand: int = 1) -> None:
+        if radicand < 0:
             raise NegativeRadicandError("negative radicand")
-        m, f = squarefree_decompose(self.radicand)
-        coeff = self.coeff * m
+        m, f = squarefree_decompose(radicand)
+        coeff = coeff * m
         if coeff == 0:
             f = 1
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "radicand", f)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def squared(self) -> Fraction:
         return self.coeff * self.coeff * self.radicand
@@ -284,6 +289,9 @@ class SurdValue:
         if isinstance(other, (int, Fraction)):
             return self.radicand == 1 and self.coeff == other
         return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeff) if self.radicand == 1 else hash((self.coeff, self.radicand))
 
     def __repr__(self) -> str:
         if self.radicand == 1:

@@ -12,14 +12,14 @@ derived from P.  A conference pair's record
 (``conference_data``) keeps N, N^{-1} and three determinants but not alpha,
 which k gives; a pair with a singular D has no record and no coordinate frame.
 Each construction returns its CoordinateFrame alone, whose ``frame`` is the
-FrameSpec.
+FrameSpec.  ``coordinatize`` raises ValueError on a spec that is not a unit
+tight equiangular frame.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -67,27 +67,24 @@ def rational_alpha(k: int, n: int) -> Fraction:
     return alpha.coeff
 
 
-@dataclass(frozen=True)
-class FrameSpec:
+class FrameSpec(NamedTuple):
     k: int
     n: int
     seidel: list  # n x n integer sign matrix, zero diagonal
 
 
-@dataclass(frozen=True)
-class CoordinateFrame:
+class CoordinateFrame(NamedTuple):
     frame: FrameSpec
     basis_indices: tuple  # k column positions, 1-based
     coords: list  # k x n rational matrix P: column j is frame vector j over the basis
 
-    @functools.cached_property
+    @property
     def beta(self) -> int:
-        """lcm of the coordinate denominators."""
-        return math.lcm(*(v.denominator for row in self.coords for v in row))
+        """lcm of the coordinate denominators, computed on each access."""
+        return math.lcm(*{v.denominator for row in self.coords for v in row})
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     seidel_ok: bool
     tightness_ok: bool
     gerzon_ok: bool
@@ -118,23 +115,18 @@ def basis_gram(cf: CoordinateFrame) -> Mat:
     return _gram(cf.frame, [b - 1 for b in cf.basis_indices])
 
 
-def gram_consistency_holds(cf: CoordinateFrame) -> bool:
-    """Exact check of P'·Q·P = I + (1/alpha)·C over all column pairs."""
-    p = cf.coords
-    return mat_mul(transpose(p), mat_mul(basis_gram(cf), p)) == full_gram(cf.frame)
-
-
 def select_basis_greedy(gram: Mat, k: int) -> tuple:
     """Leftmost k linearly independent frame vectors (1-based).
 
     For a Gram G = V'V, column j of G depends on the columns to its left
     exactly when v_j depends on the vectors to its left, so the first k pivot
     columns of G are the basis a greedy left-to-right scan would pick.
+    ValueError unless G has rank exactly k.
     """
     pivots = pivot_columns(gram)
-    if len(pivots) < k:
-        raise ValueError("gram has rank below k")
-    return tuple(j + 1 for j in pivots[:k])
+    if len(pivots) != k:
+        raise ValueError(f"gram has rank {len(pivots)}, not k = {k}")
+    return tuple(j + 1 for j in pivots)
 
 
 # --- constructions ----------------------------------------------------------
@@ -259,9 +251,26 @@ def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> Coordin
     P solves Q·P = (the basis rows of the full Gram), i.e. P = (B'B)^{-1} B'V
     for basis vectors B among the frame vectors V, computed purely from Gram
     entries.  Defaults to the greedy-leftmost basis.
+
+    ValueError unless spec is a unit tight equiangular frame, decided by two
+    cheap tests instead of validate_frame's O(n³) product C²: C is a sign
+    matrix (symmetric, zero diagonal, +-1 elsewhere), and the full Gram
+    G = I + C/alpha has rank exactly k, the rank the greedy basis search finds
+    anyway.  Together they imply tightness.  C's eigenvalues have sum tr C = 0
+    and sum of squares tr C² = n(n-1).  Rank k puts n-k of them at -alpha, so
+    the other k sum to (n-k)·alpha and their squares to
+    n(n-1) - (n-k)·alpha² = (n-1)(n-k), using alpha² = k(n-1)/(n-k).  That is
+    equality in Cauchy-Schwarz, so all k equal (n-k)·alpha/k, and G has
+    eigenvalues 0 and n/k only: G is n/k times a rank-k projection, the Gram
+    of a unit tight frame.  Every nonsingular basis Gram Q of such a G is
+    positive definite, so Q needs no test of its own; a singular explicit
+    basis raises SingularMatrixError.
     """
+    if not _seidel_ok(spec.seidel, spec.n):
+        raise ValueError("the Seidel matrix is not a symmetric sign matrix with zero diagonal")
     gram = full_gram(spec)
-    basis = tuple(basis_indices) if basis_indices else select_basis_greedy(gram, spec.k)
+    greedy = select_basis_greedy(gram, spec.k)  # ValueError unless G has rank k
+    basis = tuple(basis_indices) if basis_indices else greedy
     rows = [gram[b - 1] for b in basis]
     q = [[row[b - 1] for b in basis] for row in rows]
     return CoordinateFrame(frame=spec, basis_indices=basis, coords=solve_linear(q, rows))
@@ -326,6 +335,9 @@ def frame_7_28() -> CoordinateFrame:
 # --- validation ---------------------------------------------------------------
 
 def _seidel_ok(c, n) -> bool:
+    """Whether c is an n x n symmetric matrix with zero diagonal and +-1 elsewhere."""
+    if len(c) != n or any(len(row) != n for row in c):
+        return False
     for i in range(n):
         if c[i][i] != 0:
             return False

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
 from operator import mul
+from typing import NamedTuple
 
 from .exact import (
     LDLDecomposition,
@@ -54,22 +53,47 @@ class SearchBudgetExceededError(RuntimeError):
     """Subset search hit its determinant-evaluation cap; status indeterminate."""
 
 
-@dataclass(frozen=True)
 class LatticeModel:
-    gram: list  # k x k symmetric positive definite rational matrix
+    """A lattice as its Gram matrix (k x k, symmetric positive definite,
+    rational), with the Gram's one LDL' computed on first use.
+
+    Instances are immutable: assigning or deleting an attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ("gram", "_ldl")
+
+    def __init__(self, gram: list) -> None:
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_ldl", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is LatticeModel:
+            return self.gram == other.gram
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LatticeModel(gram={self.gram!r})"
 
     @property
     def k(self) -> int:
         return len(self.gram)
 
-    @cached_property
+    @property
     def ldl(self) -> LDLDecomposition:
         """The Gram's one LDL'; raises NotPositiveDefiniteError."""
-        return ldl_decompose(self.gram)
+        if self._ldl is None:
+            object.__setattr__(self, "_ldl", ldl_decompose(self.gram))
+        return self._ldl
 
 
-@dataclass(frozen=True)
-class MinVecReport:
+class MinVecReport(NamedTuple):
     min_norm_sq: Fraction
     vectors: list  # one canonical representative per +- pair, lex sorted
 

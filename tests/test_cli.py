@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import framelat
-from framelat import circulant, cli, frames, geometry, lattice
+from framelat import circulant, cli, exact, frames, geometry, lattice
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -408,6 +408,51 @@ def test_cli_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the value types are NamedTuples and __slots__ classes; dataclasses would
+    # pull inspect, ast, dis and tokenize into every command's start-up
+    src = os.path.dirname(os.path.dirname(framelat.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import framelat.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_value_types_are_immutable():
+    cf = frames.simplex_frame(2)
+    model = lattice.lattice_model(cf)
+    for obj, field in (
+        (cli.RunConfig(), "no_cache"),
+        (exact.SurdValue(3, 2), "coeff"),
+        (cf.frame, "seidel"),
+        (cf, "coords"),
+        (frames.validate_frame(cf.frame), "seidel_ok"),
+        (model, "gram"),
+        (lattice.minimal_vectors(model), "vectors"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+
+
+def test_lattice_report_decomposes_the_gram_once(monkeypatch):
+    real = lattice.ldl_decompose
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    for module in (cli, lattice):
+        monkeypatch.setattr(module, "ldl_decompose", counted)
+    for label, cf in (("simplex:6", frames.simplex_frame(6)),
+                      ("explicit:6x16", frames.frame_6_16()),
+                      ("explicit:7x28", frames.frame_7_28())):
+        calls.clear()
+        cli.lattice_report(label, cf)
+        assert len(calls) == 1, label
 
 
 def test_module_entry_point_runs_main(tmp_path, capsys):

@@ -362,6 +362,20 @@ def test_surd_normalization_idempotent_property():
     assert SurdValue(F(0), 17).radicand == 1
 
 
+def test_surd_hash_agrees_with_equality():
+    # a rational SurdValue equals its coefficient, so a set or dict key must
+    # not tell them apart; equal surds hash equally after normalization
+    assert hash(SurdValue(3)) == hash(3)
+    assert len({SurdValue(F(1, 2)), F(1, 2)}) == 1
+    assert len({SurdValue(F(1, 2), 8), SurdValue(F(1), 2)}) == 1
+    assert len({SurdValue(F(1, 2)), SurdValue(F(1, 2), 2)}) == 2
+
+
+def test_surd_repr():
+    assert repr(SurdValue(F(1, 2))) == "SurdValue(1/2)"
+    assert repr(SurdValue(F(8, 81), 12)) == "SurdValue(16/81*sqrt(3))"
+
+
 def test_floor_sqrt_exact():
     assert floor_sqrt(F(99, 4)) == 4   # sqrt = 4.97
     assert floor_sqrt(F(100, 4)) == 5

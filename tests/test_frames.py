@@ -1,6 +1,8 @@
 """Tests for frame constructions and validation."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,14 @@ from framelat.circulant import (
     load_pairs,
     search_conference_pairs,
 )
-from framelat.exact import SurdValue, bareiss_determinant, clear_denominators, mat_mul
+from framelat.exact import (
+    SurdValue,
+    bareiss_determinant,
+    clear_denominators,
+    ldl_decompose,
+    mat_mul,
+    transpose,
+)
 from framelat.frames import (
     FrameSpec,
     IrrationalAlphaError,
@@ -25,11 +34,11 @@ from framelat.frames import (
     conference_data,
     conference_frame,
     conference_frame_spec,
+    coordinatize,
     frame_6_16,
     frame_7_28,
     frame_alpha,
     full_gram,
-    gram_consistency_holds,
     select_basis_greedy,
     simplex_frame,
     validate_frame,
@@ -40,6 +49,12 @@ F = Fraction
 
 def det_of_basis_gram(cf):
     return bareiss_determinant(basis_gram(cf))
+
+
+def gram_consistency_holds(cf):
+    """Oracle: P'·Q·P = I + (1/alpha)·C over all column pairs, exactly."""
+    p = cf.coords
+    return mat_mul(transpose(p), mat_mul(basis_gram(cf), p)) == full_gram(cf.frame)
 
 
 # --- simplex ---------------------------------------------------------------
@@ -274,8 +289,81 @@ def test_greedy_basis_skips_repeated_vectors():
     order = [0, 0, 1, 1, 2, 3]
     repeated = [[g[i][j] for j in order] for i in order]
     assert select_basis_greedy(repeated, 3) == (1, 3, 5)
-    with pytest.raises(ValueError):
-        select_basis_greedy(repeated, 4)
+    for k in (2, 4):  # rank 3 is neither k
+        with pytest.raises(ValueError, match="rank 3"):
+            select_basis_greedy(repeated, k)
+
+
+# --- coordinatize accepts unit tight equiangular frames only ----------------
+
+def test_frame_spec_repr():
+    spec = simplex_frame(2).frame
+    assert repr(spec) == "FrameSpec(k=2, n=3, seidel=[[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])"
+
+
+@pytest.mark.parametrize("seidel", [
+    [[0, 2, 0], [2, 0, 0], [0, 0, 0]],  # two equal frame vectors and a zero row
+    [[0, 1], [1, 0]],  # 2 x 2 for n = 3
+], ids=["not-sign", "wrong-shape"])
+def test_coordinatize_rejects_a_seidel_matrix_that_is_not_a_sign_matrix(seidel):
+    spec = FrameSpec(2, 3, seidel)
+    assert not validate_frame(spec).seidel_ok
+    with pytest.raises(ValueError, match="not a symmetric sign matrix"):
+        coordinatize(spec)
+
+
+def test_coordinatize_rejects_every_single_sign_flip_of_6x16():
+    # each flip of one symmetric pair leaves a sign matrix that is not tight;
+    # the full Gram's rank, not validate_frame's C², is what catches it
+    spec = frame_6_16().frame
+    for i, j in combinations(range(16), 2):
+        c = [row[:] for row in spec.seidel]
+        c[i][j] = c[j][i] = -c[i][j]
+        bad = FrameSpec(6, 16, c)
+        assert not validate_frame(bad).tightness_ok, (i, j)
+        with pytest.raises(ValueError, match=r"gram has rank \d+, not k = 6"):
+            coordinatize(bad)
+
+
+def test_coordinatize_checks_the_rank_under_an_explicit_basis():
+    cf = frame_7_28()
+    c = [row[:] for row in cf.frame.seidel]
+    c[0][27] = c[27][0] = -c[0][27]
+    with pytest.raises(ValueError, match="not k = 7"):
+        coordinatize(FrameSpec(7, 28, c), cf.basis_indices)
+
+
+def test_coordinatize_accepts_switched_and_permuted_frames():
+    # switching (C -> SCS for a diagonal sign matrix S) and relabelling keep a
+    # frame a frame, and validate_frame agrees with coordinatize's two tests
+    rng = random.Random(26)
+    for spec in (frame_6_16().frame, frame_7_28().frame, simplex_frame(6).frame):
+        n = spec.n
+        for _ in range(3):
+            signs = [rng.choice((-1, 1)) for _ in range(n)]
+            order = rng.sample(range(n), n)
+            c = [[signs[i] * spec.seidel[i][j] * signs[j] for j in order] for i in order]
+            moved = FrameSpec(spec.k, n, c)
+            assert validate_frame(moved).all_ok
+            assert gram_consistency_holds(coordinatize(moved))
+
+
+def test_a_rank_k_gram_makes_every_nonsingular_basis_gram_positive_definite():
+    # why coordinatize needs no positive-definiteness test of its own: any k
+    # columns of 6x16 give a basis Gram that is singular or positive definite
+    spec = frame_6_16().frame
+    gram = full_gram(spec)
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(300):
+        idx = sorted(rng.sample(range(16), 6))
+        q = [[gram[i][j] for j in idx] for i in idx]
+        if bareiss_determinant(q) == 0:
+            seen.add("singular")
+        else:
+            assert all(d > 0 for d in ldl_decompose(q).minors), idx
+            seen.add("definite")
+    assert seen == {"singular", "definite"}
 
 
 # --- derived fields and the tightness identity ---------------------------------
@@ -364,3 +452,4 @@ def test_seidel_shape():
         c = [row[:] for row in spec.seidel]
         c[i][j] = v  # breaks symmetry, the zero diagonal, or the +-1 entries
         assert not validate_frame(FrameSpec(k=3, n=4, seidel=c)).seidel_ok
+    assert not validate_frame(FrameSpec(k=3, n=4, seidel=spec.seidel[:3])).seidel_ok

@@ -29,7 +29,6 @@ from framelat.frames import (
     frame_6_16,
     frame_7_28,
     frame_alpha,
-    gram_consistency_holds,
     preferred_variant,
     simplex_frame,
 )
@@ -51,6 +50,7 @@ from framelat.lattice import (
     scalar_orthogonal_equivalence,
 )
 from test_circulant import CACHE_25
+from test_frames import gram_consistency_holds
 
 F = Fraction
 
@@ -263,6 +263,14 @@ def test_minimal_6_16():
     assert 2 * len(rep.vectors) == 32
     assert frame_vectors_are_minimal(cf, rep)
     assert has_basis_of_minimal_vectors(model, rep)
+
+
+def test_frame_vectors_are_not_minimal_when_beta_exceeds_one():
+    # pair 4 at k = 13 has a non-integral N, so its plus frame has beta 3;
+    # a frame vector with a coordinate in (1/3)Z is no lattice point
+    cf = conference_frame(search_conference_pairs(13)[4], "plus")
+    assert cf.beta == 3
+    assert not frame_vectors_are_minimal(cf, minimal_vectors(lattice_model(cf)))
 
 
 def test_frame_vectors_trivial_when_basis_is_whole_frame():
