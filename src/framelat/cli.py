@@ -158,15 +158,27 @@ EXPLICIT_FRAMES = {"explicit:6x16": frames.frame_6_16, "explicit:7x28": frames.f
 _SELECTOR_GRAMMAR = " | ".join(("simplex:k", "conference:k[:pair[:variant]]", *EXPLICIT_FRAMES))
 
 
-def lattice_report(label: str, cf) -> dict:
-    """Full analysis record for one coordinatized frame (the JSON schema)."""
-    model = lattice.lattice_model(cf)
-    det = lattice.lattice_determinant(model)
-    rep = lattice.minimal_vectors(model)
-    parseval = geometry.strong_eutaxy_check(model, rep)
-    rank = geometry.perfection_rank(model, rep)
+def lattice_report(label: str, cf, analyses: dict | None = None) -> dict:
+    """Full analysis record for one coordinatized frame (the JSON schema).
+
+    The Gram-only fields come from ``analyses`` (fresh when None), keyed by
+    n and the integer Seidel block C_B on the basis, which determine the
+    Gram I + C_B/alpha and are determined by it, so a hit builds neither the
+    Gram nor its LDL'; label, n, beta and framesAreMinimal are always the
+    frame's own.
+    """
+    k, seidel, idx = cf.frame.k, cf.frame.seidel, [b - 1 for b in cf.basis_indices]
+    key = (cf.frame.n, *(tuple(seidel[i][j] for j in idx) for i in idx))
+    analyses = {} if analyses is None else analyses
+    if key not in analyses:
+        model = lattice.lattice_model(cf)
+        det = lattice.lattice_determinant(model)
+        rep = lattice.minimal_vectors(model)
+        analyses[key] = (det, rep, geometry.strong_eutaxy_check(model, rep), geometry.perfection_rank(model, rep),
+                         lattice.has_basis_of_minimal_vectors(model, rep), lattice.packing_density(model, rep))
+    det, rep, parseval, rank, basis, density = analyses[key]
     out = {
-        "k": model.k,
+        "k": k,
         "n": cf.frame.n,
         "label": label,
         "isLattice": True,
@@ -176,12 +188,12 @@ def lattice_report(label: str, cf) -> dict:
         "minNormSq": _fr(rep.min_norm_sq),
         "minVecCountWithSigns": 2 * len(rep.vectors),
         "framesAreMinimal": lattice.frame_vectors_are_minimal(cf, rep),
-        "basisOfMinimalVectors": lattice.has_basis_of_minimal_vectors(model, rep),
-        "density": lattice.packing_density(model, rep),
+        "basisOfMinimalVectors": basis,
+        "density": density,
         "eutactic": parseval is not None,
         "parsevalConstant": None if parseval is None else _fr(parseval),
         "perfectionRank": rank,
-        "perfect": rank == model.k * (model.k + 1) // 2,
+        "perfect": rank == k * (k + 1) // 2,
     }
     if label == "explicit:7x28":
         out["detD"] = geometry.perfection_certificate_det_7_28()
@@ -467,11 +479,11 @@ def _check_5_10():
         if not facts["nIntegral"] or not facts["nInverseIntegral"]:
             return False, "N and N^-1 should both be integral at k = 5"
     want = _frame_minimal(5, 10)
-    grams = []
+    grams, analyses = [], {}  # the four frames have two distinct basis Grams
     for i, p in enumerate(pairs):
         cf = frames.conference_frame(p, "plus")
         grams.append(frames.basis_gram(cf))
-        if bad := _mismatch(lattice_report(f"conference:5:{i}:plus", cf), want):
+        if bad := _mismatch(lattice_report(f"conference:5:{i}:plus", cf, analyses), want):
             return False, f"pair {i}: {bad}"
     if lattice.scalar_orthogonal_equivalence(grams[0], grams[2]) is not None:
         return False, "B1 and B3 Grams unexpectedly equivalent"
@@ -494,10 +506,11 @@ def _check_13_26():
     if sum(n_int) != 6 or sum(inv_int) != 6 or any(a and b for a, b in zip(n_int, inv_int)):
         return False, "expected a clean 6 / 6 split of N vs N^-1 integrality"
     want = _frame_minimal(13, 26)
+    analyses = {}  # the twelve frames have three distinct basis Grams
     for i, p in enumerate(pairs):
         cf = frames.conference_frame(p, frames.preferred_variant(p))
         grams.append(frames.basis_gram(cf))
-        if bad := _mismatch(lattice_report(f"conference:13:{i}", cf), want):
+        if bad := _mismatch(lattice_report(f"conference:13:{i}", cf, analyses), want):
             return False, f"pair {i}: {bad}"
     classes = lattice.equivalence_classes(grams)
     if classes != [[0, 1, 10, 11], [2, 3, 8, 9], [4, 5, 6, 7]]:

@@ -10,7 +10,8 @@ rational coordinate matrix P of every frame vector over the basis (so the
 basis columns of P are unit vectors); beta, the lcm of P's denominators, is
 derived from P.  A conference pair's record
 (``conference_data``) keeps N, N^{-1} and three determinants but not alpha,
-which k gives; a pair with a singular D has no record and no coordinate frame.
+which k gives, and is computed once per sign orbit {(+-a, +-d)}; a pair
+with a singular D has no record and no coordinate frame.
 Each construction returns its CoordinateFrame alone, whose ``frame`` is the
 FrameSpec.  ``coordinatize`` raises ValueError on a spec that is not a unit
 tight equiangular frame.
@@ -94,34 +95,27 @@ class ValidationReport(NamedTuple):
         return self.seidel_ok and self.tightness_ok and self.gerzon_ok
 
 
-def _gram(spec: FrameSpec, idx) -> Mat:
-    """I + (1/alpha)·C on the rows and columns idx (0-based); rational alpha only.
+def basis_gram(cf: CoordinateFrame) -> Mat:
+    """I + (1/alpha)·C on the basis rows and columns; rational alpha only.
 
     A Seidel matrix has few distinct entries (0 and +-1), so each scaled entry
     is computed once per Gram.
     """
-    alpha = rational_alpha(spec.k, spec.n)
-    c = spec.seidel
+    alpha = rational_alpha(cf.frame.k, cf.frame.n)
+    c = cf.frame.seidel
+    idx = [b - 1 for b in cf.basis_indices]
     scaled = {v: F(v, 1) / alpha for v in {c[i][j] for i in idx for j in idx}}
     return [[1 + scaled[c[i][j]] if i == j else scaled[c[i][j]] for j in idx] for i in idx]
-
-
-def full_gram(spec: FrameSpec) -> Mat:
-    """n x n Gram matrix I + (1/alpha)·C; rational alpha only."""
-    return _gram(spec, range(spec.n))
-
-
-def basis_gram(cf: CoordinateFrame) -> Mat:
-    return _gram(cf.frame, [b - 1 for b in cf.basis_indices])
 
 
 def select_basis_greedy(gram: Mat, k: int) -> tuple:
     """Leftmost k linearly independent frame vectors (1-based).
 
-    For a Gram G = V'V, column j of G depends on the columns to its left
-    exactly when v_j depends on the vectors to its left, so the first k pivot
-    columns of G are the basis a greedy left-to-right scan would pick.
-    ValueError unless G has rank exactly k.
+    For a Gram G = V'V, or any nonzero multiple of one, column j of G
+    depends on the columns to its left exactly when v_j depends on the
+    vectors to its left, so the first k pivot columns of G are the basis a
+    greedy left-to-right scan would pick.  ValueError unless G has rank
+    exactly k.
     """
     pivots = pivot_columns(gram)
     if len(pivots) != k:
@@ -171,16 +165,22 @@ class ConferenceData(NamedTuple):
 def conference_data(p: ConferencePair) -> ConferenceData:
     """N, N^{-1} and the three determinants of one conference pair.
 
+    Only the representative of p's sign orbit, the (s_a·a, s_d·d) with
+    a_row[1] = d_row[0] = -1 for signs s_a, s_d = +-1, is computed; flips
+    keep a*a + d*d.  From N = D^{-1}(A - alpha·I), N^{-1} = -D^{-1}(alpha·I + A)
+    and odd k, with s the flip of d: (a, s·d) has N, N^{-1} and det D times s
+    and the same det(alpha·I ± A); (-a, s·d) has N and N^{-1} swapped, each
+    times s, det D times s, and det(alpha·I + A), det(alpha·I - A) swapped.
+
     The conference condition A² + D² = alpha²·I between commuting circulants
     gives D² = (alpha·I - A)(alpha·I + A), so an invertible D makes both
     alpha·I ± A invertible, and one solve against D yields det D and both
-    rows: N = D^{-1}(A - alpha·I) and N^{-1} = -D^{-1}(alpha·I + A).  The
-    same identity gives det(alpha·I - A) = det(D)²/det(alpha·I + A) exactly,
-    so a pair costs two eliminations: the solve and det(alpha·I + A).  Both
-    act on the folded (k+1)/2-square matrix M of a symmetric circulant (see
-    ``circulant_determinant``), so det(alpha·I + A) = det(M)²/(alpha + Σa).
-    Where Σa = 0 (every pair at k = 5 and k = 25) that reads alpha·m² with
-    det M = ±alpha·m.
+    rows.  The same identity gives det(alpha·I - A) = det(D)²/det(alpha·I + A)
+    exactly, so an orbit costs two eliminations: the solve and
+    det(alpha·I + A).  Both act on the folded (k+1)/2-square matrix M of a
+    symmetric circulant (see ``circulant_determinant``), so
+    det(alpha·I + A) = det(M)²/(alpha + Σa).  Where Σa = 0 (every pair at
+    k = 5 and k = 25) that reads alpha·m² with det M = ±alpha·m.
 
     D is invertible at prime k: its eigenvalues d(w^j) at the nontrivial k-th
     roots of unity w^j are Galois conjugates, so one zero makes them all zero
@@ -191,13 +191,25 @@ def conference_data(p: ConferencePair) -> ConferenceData:
     alpha = int(rational_alpha(p.k, 2 * p.k))
     if not is_conference(p):
         raise ValueError("not a conference pair: a*a + d*d != (2k-1)e0")
+    s_a, s_d = -p.a_row[1], -p.d_row[0]  # both +1 at the orbit's representative
+    if s_a < 0 or s_d < 0:
+        rep = conference_data(ConferencePair(p.k, _times(s_a, p.a_row), _times(s_d, p.d_row)))
+        n_row, n_inv_row, det_plus, det_minus = rep.n_row, rep.n_inv_row, rep.det_plus, rep.det_minus
+        if s_a < 0:
+            n_row, n_inv_row, det_plus, det_minus = n_inv_row, n_row, det_minus, det_plus
+        return ConferenceData(_times(s_d, n_row), _times(s_d, n_inv_row), s_d * rep.det_d,
+                              det_plus, det_minus)
     plus_row = add_scalar(p.a_row, alpha)
     det_plus = int(circulant_determinant(plus_row))
-    det_d, rows = circulant_solve(p.d_row, [add_scalar(p.a_row, -alpha), tuple(-v for v in plus_row)])
+    det_d, rows = circulant_solve(p.d_row, [add_scalar(p.a_row, -alpha), _times(-1, plus_row)])
     if rows is None:
         raise SingularMatrixError("D is singular")
     n_row, n_inv_row = rows
     return ConferenceData(n_row, n_inv_row, int(det_d), det_plus, det_d ** 2 // det_plus)
+
+
+def _times(sign: int, row: Row) -> Row:
+    return tuple(sign * v for v in row)
 
 
 def conference_frame(p: ConferencePair, variant: str) -> CoordinateFrame:
@@ -248,9 +260,10 @@ _BASIS_7_28 = (1, 2, 3, 4, 5, 6, 16)
 def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> CoordinateFrame:
     """Express every frame vector over a basis, exactly.
 
-    P solves Q·P = (the basis rows of the full Gram), i.e. P = (B'B)^{-1} B'V
-    for basis vectors B among the frame vectors V, computed purely from Gram
-    entries.  Defaults to the greedy-leftmost basis.
+    P solves Q·P = (the basis rows of the full Gram G = I + C/alpha), i.e.
+    P = (B'B)^{-1} B'V for basis vectors B among the frame vectors V, taken
+    from the integer p·G = p·I + q·C for alpha = p/q: same rank, pivots and
+    P.  Defaults to the greedy-leftmost basis.
 
     ValueError unless spec is a unit tight equiangular frame, decided by two
     cheap tests instead of validate_frame's O(n³) product C²: C is a sign
@@ -268,12 +281,15 @@ def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> Coordin
     """
     if not _seidel_ok(spec.seidel, spec.n):
         raise ValueError("the Seidel matrix is not a symmetric sign matrix with zero diagonal")
-    gram = full_gram(spec)
-    greedy = select_basis_greedy(gram, spec.k)  # ValueError unless G has rank k
+    alpha = rational_alpha(spec.k, spec.n)
+    p, q = alpha.numerator, alpha.denominator
+    scaled = [[p if i == j else q * v for j, v in enumerate(row)]
+              for i, row in enumerate(spec.seidel)]  # p·G
+    greedy = select_basis_greedy(scaled, spec.k)  # ValueError unless G has rank k
     basis = tuple(basis_indices) if basis_indices else greedy
-    rows = [gram[b - 1] for b in basis]
-    q = [[row[b - 1] for b in basis] for row in rows]
-    return CoordinateFrame(frame=spec, basis_indices=basis, coords=solve_linear(q, rows))
+    rows = [scaled[b - 1] for b in basis]
+    square = [[row[b - 1] for b in basis] for row in rows]
+    return CoordinateFrame(frame=spec, basis_indices=basis, coords=solve_linear(square, rows))
 
 
 def _explicit_frame(vectors, k: int, basis: tuple | None = None) -> CoordinateFrame:

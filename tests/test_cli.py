@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -285,7 +286,9 @@ def test_analyze_csv_flattens_surds(capsys):
 # SHA-256 of stdout in each format, recorded before the commands shared one
 # report pipeline; any byte of drift fails.  The demo's json and csv were
 # re-pinned when its norms stopped cancelling: their last digits changed, the
-# text (three digits) did not.
+# text (three digits) did not.  The search 13 and search 25
+# pins were recorded before conference_data derived three of every four
+# pairs' records from their sign orbit's representative.
 PINNED_SHA256 = {
     ("table1",): {
         "json": "f90e4f1ba3fcd0c3a2e2643c892bec5b3fb7994502d206d30e06004630c366fd",
@@ -331,6 +334,16 @@ PINNED_SHA256 = {
         "json": "836acdc3c87dcd4264812a0ec94063a13bc3ba064dc1239b6d88757aa0da6550",
         "csv": "3d993a20ec672e1b93cf5ebafee655978a6026be966079e5fd6fec22af488068",
         "text": "0d617f705ba891ccdc7c27a0c89e59cfa3fb02ceda8688d34e702f42a65d0f0c",
+    },
+    ("search", "13"): {
+        "json": "5963726c0d23e92c42817cdea63623c6242db9b9d60f80bcc26f8871e22e7efc",
+        "csv": "e1c6018fa6be9b455c381b5e171f70140b8b392c45352468b8468f0416d00e20",
+        "text": "7ada447264454ebbb32194477233d463b2467df2efa79e6d91c66e6c38295a40",
+    },
+    ("search", "25"): {
+        "json": "48dcd491889a88badf334bb294959cf6a3e926c3c4c9fcb28d2fc9b9e0989d9e",
+        "csv": "b4c9f921d8a0d5750da1f6962f043bc845a46fa063a44cad813a960c89b9ba7a",
+        "text": "d050a71146d69a95f4783add642c25fee603e82f10aa58adb644138a605ca184",
     },
     ("search", "3", "--allow-unverified", "--no-cache"): {
         "json": "cf87151d451981b0f60cf2924e9f8242980297b6864945241537281641ec9758",
@@ -453,6 +466,49 @@ def test_lattice_report_decomposes_the_gram_once(monkeypatch):
         calls.clear()
         cli.lattice_report(label, cf)
         assert len(calls) == 1, label
+
+
+@pytest.mark.parametrize("label, distinct", [("5x10", 2), ("13x26", 3)])
+def test_verify_checks_analyze_each_distinct_gram_once(monkeypatch, label, distinct):
+    # 4 and 12 frames whose basis Grams take 2 and 3 values; each check call
+    # makes its own memo
+    calls = []
+    real = lattice.minimal_vectors
+    monkeypatch.setattr(lattice, "minimal_vectors", lambda model: calls.append(model) or real(model))
+    ok, detail = dict(cli.verification_checks(cli.RunConfig()))[label]()
+    assert ok, detail
+    assert len(calls) == distinct
+
+
+def conference_13(selector):
+    _, _, index, variant = selector.split(":")
+    return frames.conference_frame(circulant.search_conference_pairs(13)[int(index)], variant)
+
+
+def test_frames_on_one_gram_keep_their_own_label():
+    analyses = {}
+    selectors = ("conference:13:4:plus", "conference:13:7:minus")
+    records = [cli.lattice_report(s, conference_13(s), analyses) for s in selectors]
+    assert len(analyses) == 1  # the two basis Grams are identical
+    assert [r["label"] for r in records] == list(selectors)
+    assert records == [cli.lattice_report(s, conference_13(s)) for s in selectors]
+
+
+def test_frame_on_a_seen_gram_gets_its_own_beta_and_minimality():
+    # the same frame and basis (columns k+1..2k), so the same basis Gram, with
+    # the coordinates of the other k vectors halved: beta 2, and those are no
+    # longer lattice vectors
+    cf = frames.conference_frame(circulant.search_conference_pairs(13)[4], "minus")
+    k = cf.frame.k
+    halved = cf._replace(coords=[[Fraction(v, 2) for v in row[:k]] + row[k:]
+                                 for row in cf.coords])
+    analyses = {}
+    first = cli.lattice_report("first", cf, analyses)
+    second = cli.lattice_report("second", halved, analyses)
+    assert len(analyses) == 1
+    assert (first["beta"], first["framesAreMinimal"]) == (1, True)
+    assert (second["beta"], second["framesAreMinimal"]) == (2, False)
+    assert second == cli.lattice_report("second", halved)
 
 
 def test_module_entry_point_runs_main(tmp_path, capsys):

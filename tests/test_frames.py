@@ -38,13 +38,20 @@ from framelat.frames import (
     frame_6_16,
     frame_7_28,
     frame_alpha,
-    full_gram,
+    rational_alpha,
     select_basis_greedy,
     simplex_frame,
     validate_frame,
 )
 
 F = Fraction
+
+
+def full_gram(spec):
+    """Reference n x n Gram I + (1/alpha)·C; rational alpha only."""
+    alpha = rational_alpha(spec.k, spec.n)
+    return [[(i == j) + F(v) / alpha for j, v in enumerate(row)]
+            for i, row in enumerate(spec.seidel)]
 
 
 def det_of_basis_gram(cf):
@@ -185,7 +192,8 @@ def test_conference_data_matches_the_dense_reference(k):
 
 
 def test_conference_data_eliminates_half_size_matrices(monkeypatch):
-    # both eliminations behind a k = 25 record are of a 13-row folded matrix
+    # one record per sign orbit: the 20 pairs at k = 25 are 5 orbits, each
+    # record two eliminations of a 13-row folded matrix
     sizes = []
 
     def recording(fn):
@@ -196,18 +204,24 @@ def test_conference_data_eliminates_half_size_matrices(monkeypatch):
 
     for name in ("determinant_and_solution", "bareiss_determinant"):
         monkeypatch.setattr(circulant, name, recording(getattr(circulant, name)))
+    conference_data.cache_clear()
     for p in conference_pairs(25):
-        data = conference_data.__wrapped__(p)
+        data = conference_data(p)
         assert data.det_plus == data.det_minus == 2 ** 24 * 7 ** 9
-    assert sizes == [13] * 40
+    assert sizes == [13] * 10
 
 
 def test_conference_data_rejects_a_non_conference_pair():
-    p = ConferencePair(5, (0, 1, 1, 1, 1), (1, 1, 1, 1, 1))
-    with pytest.raises(ValueError, match="not a conference pair"):
-        conference_data(p)
-    with pytest.raises(ValueError, match="not a conference pair"):
-        conference_frame(p, "plus")
+    # the first pair reaches its orbit representative by flipping both signs,
+    # the second (a_row[1] = -1, d_row[0] = +1) by flipping d alone; both are
+    # rejected before any record is derived
+    for a_row, d_row in (((0, 1, 1, 1, 1), (1, 1, 1, 1, 1)),
+                         ((0, -1, 1, 1, -1), (1, 1, 1, 1, 1))):
+        p = ConferencePair(5, a_row, d_row)
+        with pytest.raises(ValueError, match="not a conference pair"):
+            conference_data(p)
+        with pytest.raises(ValueError, match="not a conference pair"):
+            conference_frame(p, "plus")
 
 
 def test_conference_data_irrational_alpha():
