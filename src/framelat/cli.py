@@ -116,22 +116,15 @@ def _surd_table(records: list) -> tuple[list, list]:
 # --- conference-pair plumbing --------------------------------------------------
 
 
-def _names_directory(path: str) -> bool:
-    """A --cache path names a directory when it is one or ends in a separator."""
-    return path.endswith(os.sep) or os.path.isdir(path)
-
-
 def load_or_search(k: int, cfg: RunConfig) -> tuple[list, str]:
-    """Return (pairs, source) honoring the cache unless --no-cache was given;
-    a size outside KNOWN_SEARCH_SIZES needs --allow-unverified."""
+    """Return (pairs, source), reading or else writing conference-<k>.json in
+    the --cache directory (default cache) unless --no-cache was given; a size
+    outside KNOWN_SEARCH_SIZES needs --allow-unverified."""
     if k not in KNOWN_SEARCH_SIZES and not cfg.allow_unverified:
         raise UsageError(
             f"k = {k} is outside the verified sizes {KNOWN_SEARCH_SIZES}; "
             "pass --allow-unverified to search anyway")
-    path = cfg.cache_path or os.path.join("cache", f"conference-{k}.json")
-    if cfg.cache_path and _names_directory(cfg.cache_path):
-        # a directory holds one file per size, so multi-size commands work too
-        path = os.path.join(cfg.cache_path, f"conference-{k}.json")
+    path = os.path.join(cfg.cache_path or "cache", f"conference-{k}.json")
     if not cfg.no_cache and os.path.exists(path):
         return circulant.load_pairs(path, k), "cache"
     pairs = circulant.search_conference_pairs(k)
@@ -284,9 +277,6 @@ _VOLUMES = {(k, n): volume for _, k, n, _, volume in FAMILIES}
 
 
 def table1_rows(cfg: RunConfig) -> list:
-    if cfg.cache_path and not _names_directory(cfg.cache_path):
-        raise UsageError(f"table1 reads pairs of several orders, so --cache must name a directory "
-                         f"(an existing one, or a path ending in {os.sep!r}), not {cfg.cache_path!r}")
     rows = []
     for family, k, n, selector, _ in FAMILIES:
         report = analyze_selector(selector, cfg) if selector else {}
@@ -552,11 +542,11 @@ def _check_25_50_lattice(cfg):
         facts = _pair_facts(p)
         if not (facts["nIntegral"] and facts["nInverseIntegral"]):
             return False, "N and N^-1 should both be integral at k = 25"
-    models = [lattice.lattice_model(frames.conference_frame(p, "plus")) for p in ordered[:10]]
-    det, want = lattice.lattice_determinant(models[0]), _VOLUMES[25, 50]
+    grams = [frames.basis_gram(frames.conference_frame(p, "plus")) for p in ordered[:10]]
+    det, want = lattice.lattice_determinant(lattice.gram_model(grams[0])), _VOLUMES[25, 50]
     if det != want:
         return False, f"determinant {det} != {want}"
-    classes = lattice.equivalence_classes([m.gram for m in models])
+    classes = lattice.equivalence_classes(grams)
     if classes != [[i] for i in range(10)]:
         return False, f"expected 10 singleton classes, got {classes}"
     return True, "B_j = B_(j+10) pairing, det 2^12/7^8 exactly, 10 singleton classes"
@@ -670,10 +660,10 @@ def _check_property_suites():
     for trial in range(100):  # packing density is scale invariant
         k = rng.randint(2, 4)
         g = _random_pd_gram(rng, k)
-        model = lattice.LatticeModel(g)
+        model = lattice.gram_model(g)
         rep = lattice.minimal_vectors(model)
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        scaled_model = lattice.LatticeModel([[c * e for e in row] for row in g])
+        scaled_model = lattice.gram_model([[c * e for e in row] for row in g])
         scaled_rep = lattice.minimal_vectors(scaled_model)
         d1 = lattice.packing_density(model, rep)
         d2 = lattice.packing_density(scaled_model, scaled_rep)
@@ -762,8 +752,7 @@ class Command(NamedTuple):
 
 _CACHE_FLAGS = (
     ("--cache", {"dest": "cache_path",
-                 "help": "conference-pair cache file, or a directory of conference-<k>.json "
-                         "files (default cache/conference-<k>.json)"}),
+                 "help": "directory of conference-<k>.json pair caches (default cache)"}),
     ("--no-cache", {"action": "store_true", "help": "neither read nor write the pair cache"}),
 )
 _UNVERIFIED_FLAG = (

@@ -304,8 +304,6 @@ def sqrt_rational(r: Rational) -> SurdValue:
     r = Fraction(r)
     if r < 0:
         raise NegativeRadicandError("cannot take the square root of a negative rational")
-    if r == 0:
-        return SurdValue(Fraction(0), 1)
     p, q = r.numerator, r.denominator
     m, f = squarefree_decompose(p * q)
     return SurdValue(Fraction(m, q), f)

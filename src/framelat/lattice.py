@@ -2,24 +2,24 @@
 determinants, packing density, and scalar-orthogonal equivalence.
 
 Everything except packing_density and the non-lattice demo is exact.  A
-LatticeModel is its Gram matrix alone (k is the Gram's size) and carries one
-fraction-free LDL' of it, scaled to integers; a Gram that is not positive
-definite raises NotPositiveDefiniteError there.  The LDL' gives the determinant
-and drives a Fincke-Pohst depth-first search whose intervals come from
-math.isqrt on integers.  The search walks half the tree: while every coordinate above level
-j is 0, x_j starts at 0, so it yields exactly the one of x and -x whose topmost
-nonzero coordinate is positive, and _canonical maps that one to the same
-representative as the other.  Partial centres are summed over the nonzero
-coordinates only.  Each leaf's remainder gives its exact norm, so the search
-returns (vector, norm) pairs and nothing recomputes a norm from the Gram.  The
-search is cross-checked elsewhere, vectors and norms, against a certified
-brute-force box scan on the dual-certificate box: it visits every head of the
-first k-1 coordinates and, for the last one, only the integer interval
-between the roots of the head's quadratic in it (from math.isqrt of the
-discriminant, widened by 1 on each side and clipped to the box), testing
-every candidate's norm.  A MinVecReport keeps the minimum and one representative
-per +- pair; the count with signs is twice their number.  The alpha gate is a
-bool: irrational alpha, no lattice.
+LatticeModel is a Gram matrix (k is its size) and that Gram's one
+fraction-free LDL', scaled to integers; gram_model builds it, and a Gram that
+is not positive definite raises NotPositiveDefiniteError there.  The LDL'
+gives the determinant and drives a Fincke-Pohst depth-first search whose
+intervals come from math.isqrt on integers.  The search walks half the tree:
+while every coordinate above level j is 0, x_j starts at 0, so it yields
+exactly the one of x and -x whose topmost nonzero coordinate is positive, and
+_canonical maps that one to the same representative as the other.  Partial
+centres are summed over the nonzero coordinates only.  Each leaf's remainder
+gives its exact norm, so the search returns (vector, norm) pairs and nothing
+recomputes a norm from the Gram.  The search is cross-checked elsewhere,
+vectors and norms, against a certified brute-force box scan on the
+dual-certificate box: it visits every head of the first k-1 coordinates and,
+for the last one, only the integer interval between the roots of the head's
+quadratic in it (from math.isqrt of the discriminant, widened by 1 on each
+side and clipped to the box), testing every candidate's norm.  A MinVecReport
+keeps the minimum and one representative per +- pair; the count with signs is
+twice their number.  The alpha gate is a bool: irrational alpha, no lattice.
 """
 
 from __future__ import annotations
@@ -53,44 +53,16 @@ class SearchBudgetExceededError(RuntimeError):
     """Subset search hit its determinant-evaluation cap; status indeterminate."""
 
 
-class LatticeModel:
+class LatticeModel(NamedTuple):
     """A lattice as its Gram matrix (k x k, symmetric positive definite,
-    rational), with the Gram's one LDL' computed on first use.
+    rational) and that Gram's one LDL'; build it with gram_model."""
 
-    Instances are immutable: assigning or deleting an attribute raises
-    AttributeError.
-    """
-
-    __slots__ = ("gram", "_ldl")
-
-    def __init__(self, gram: list) -> None:
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_ldl", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is LatticeModel:
-            return self.gram == other.gram
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"LatticeModel(gram={self.gram!r})"
+    gram: list
+    ldl: LDLDecomposition
 
     @property
     def k(self) -> int:
         return len(self.gram)
-
-    @property
-    def ldl(self) -> LDLDecomposition:
-        """The Gram's one LDL'; raises NotPositiveDefiniteError."""
-        if self._ldl is None:
-            object.__setattr__(self, "_ldl", ldl_decompose(self.gram))
-        return self._ldl
 
 
 class MinVecReport(NamedTuple):
@@ -111,8 +83,13 @@ def alpha_gate(k: int, n: int) -> bool:
     return frame_alpha(k, n).radicand == 1
 
 
+def gram_model(gram: list) -> LatticeModel:
+    """The model of a Gram; raises NotPositiveDefiniteError."""
+    return LatticeModel(gram, ldl_decompose(gram))
+
+
 def lattice_model(cf: CoordinateFrame) -> LatticeModel:
-    return LatticeModel(basis_gram(cf))
+    return gram_model(basis_gram(cf))
 
 
 def lattice_determinant(model: LatticeModel) -> SurdValue:
@@ -233,10 +210,11 @@ def brute_force_short_vectors(model: LatticeModel, bound_sq) -> list:
     the Q-inner product gives x_i² <= (Q^{-1})_ii · x'Qx.  The scan runs on
     Python integers after clearing denominators.  Returns the same (x, x'Qx)
     pairs as enumerate_short_vectors, each norm computed by the scan itself.
+    The scan never reads the model's LDL', whose construction proved Q
+    positive definite.
     """
     gram = model.gram
     k = model.k
-    ldl_decompose(gram)  # NotPositiveDefiniteError
     bound = F(bound_sq)
     inv = mat_inverse(gram)
     radii = [floor_sqrt(bound * inv[i][i]) for i in range(k)]

@@ -233,7 +233,7 @@ def test_criterion_06_25_50_lattice_invariants(pairs25_timed):
     ordered = sorted(pairs, key=lambda p: (p.d_row[0], p.a_row, p.d_row))
     for j in range(10):
         assert ordered[j].a_row == ordered[j + 10].a_row, f"B_{j+1} vs B_{j+11}"
-    model = lattice.LatticeModel(natural_gram(ordered[0], "plus"))
+    model = lattice.gram_model(natural_gram(ordered[0], "plus"))
     det = lattice.lattice_determinant(model)
     assert abs(float(det) - 0.00071052) <= 1e-8
     classes = lattice.equivalence_classes([natural_gram(p, "plus") for p in ordered[:10]])

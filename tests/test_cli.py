@@ -130,14 +130,20 @@ def test_cache_round_trip_preserves_pairs(workdir, capsys):
     assert loaded == circulant.search_conference_pairs(5)
 
 
+def bad_cache(workdir, name, k):
+    """The conference-<k>.json path in a fresh --cache directory workdir/name."""
+    (workdir / name).mkdir()
+    return workdir / name / f"conference-{k}.json"
+
+
 def test_corrupt_cache_is_a_cache_error(workdir, capsys):
-    bad = workdir / "bad.json"
+    bad = bad_cache(workdir, "corrupt", 5)
     bad.write_text("garbage")
-    code, _, err = run(capsys, "search", "5", "--cache", str(bad))
+    code, _, err = run(capsys, "search", "5", "--cache", str(bad.parent))
     assert code == 3
     assert "cache error" in err
     # --no-cache bypasses the corrupt file and leaves it untouched
-    code, out, _ = run(capsys, "search", "5", "--cache", str(bad), "--no-cache")
+    code, out, _ = run(capsys, "search", "5", "--cache", str(bad.parent), "--no-cache")
     assert code == 0 and "4 conference pairs" in out
     assert bad.read_text() == "garbage"
 
@@ -145,12 +151,12 @@ def test_corrupt_cache_is_a_cache_error(workdir, capsys):
 @pytest.mark.parametrize("k, one", [(5, 1.0), (5, True), (5.0, 1)])
 def test_non_int_cache_entries_are_a_cache_error(workdir, capsys, k, one):
     # 1.0 and true compare equal to 1, so only a type check keeps them out
-    bad = workdir / "non-int.json"
+    bad = bad_cache(workdir, f"non-int-{k!r}-{one!r}", 5)
     pairs = [{"aRow": [one if v == 1 else v for v in p.a_row], "dRow": list(p.d_row)}
              for p in circulant.search_conference_pairs(5)]
     bad.write_text(json.dumps({"k": k, "pairs": pairs}))
     for argv in (("search", "5"), ("analyze", "conference:5:0")):
-        code, _, err = run(capsys, *argv, "--cache", str(bad), "--format", "json")
+        code, _, err = run(capsys, *argv, "--cache", str(bad.parent), "--format", "json")
         assert code == 3, argv
         assert "cache error" in err
 
@@ -158,9 +164,9 @@ def test_non_int_cache_entries_are_a_cache_error(workdir, capsys, k, one):
 def test_cache_beyond_the_key_range_is_a_cache_error(workdir, capsys):
     # is_conference keys rows with 16-bit digits, which carry from k = 2^14 on
     k = 2 ** 14 + 1
-    big = workdir / "c16385.json"
+    big = bad_cache(workdir, "key-range", k)
     big.write_text(json.dumps({"k": k, "pairs": [{"aRow": [0] + [1] * (k - 1), "dRow": [1] * k}]}))
-    code, out, err = run(capsys, "search", str(k), "--allow-unverified", "--cache", str(big))
+    code, out, err = run(capsys, "search", str(k), "--allow-unverified", "--cache", str(big.parent))
     assert code == 3
     assert out == ""
     assert "cache error" in err
@@ -168,11 +174,14 @@ def test_cache_beyond_the_key_range_is_a_cache_error(workdir, capsys):
 
 def test_cache_for_another_order_is_a_cache_error(workdir, capsys):
     # an empty pair list holds no pair of the wrong size, so only the header shows it
-    other = workdir / "c11.json"
-    code, _, _ = run(capsys, "search", "11", "--allow-unverified", "--cache", str(other))
+    c11 = workdir / "c11"
+    code, _, _ = run(capsys, "search", "11", "--allow-unverified", "--cache", str(c11))
     assert code == 0
-    assert json.loads(other.read_text()) == {"k": 11, "pairs": []}
-    code, out, err = run(capsys, "search", "25", "--cache", str(other))
+    written = (c11 / "conference-11.json").read_text()
+    assert json.loads(written) == {"k": 11, "pairs": []}
+    other = bad_cache(workdir, "other-order", 25)
+    other.write_text(written)
+    code, out, err = run(capsys, "search", "25", "--cache", str(other.parent))
     assert code == 3
     assert out == ""
     assert "cache error" in err
@@ -181,11 +190,11 @@ def test_cache_for_another_order_is_a_cache_error(workdir, capsys):
 @pytest.mark.parametrize("order", [[0, 0, 1, 2, 3], [3, 2, 1, 0]])
 def test_repeated_or_reordered_cache_pairs_are_a_cache_error(workdir, capsys, order):
     # the cache order numbers the pairs (conference:5:i), so it must be the search's
-    bad = workdir / "shuffled.json"
+    bad = bad_cache(workdir, f"shuffled-{len(order)}", 5)
     pairs = circulant.search_conference_pairs(5)
     circulant.save_pairs(str(bad), 5, [pairs[i] for i in order])
     for argv in (("search", "5"), ("analyze", "conference:5:0")):
-        code, out, err = run(capsys, *argv, "--cache", str(bad))
+        code, out, err = run(capsys, *argv, "--cache", str(bad.parent))
         assert (code, out) == (3, ""), argv
         assert "cache error" in err and "order" in err
 
@@ -198,17 +207,15 @@ def test_cache_directory_option(workdir, capsys):
     assert (cachedir / "conference-13.json").exists()
 
 
-def test_table1_cache_file_is_a_usage_error(workdir, capsys):
-    # table1 reads three orders, which one file cannot hold: nothing is read or written
-    target = workdir / "t1.json"
-    code, out, err = run(capsys, "table1", "--cache", str(target))
-    assert code == 2
-    assert out == ""
-    assert "--cache must name a directory" in err
-    assert not target.exists()
+@pytest.mark.parametrize("argv", [("search", "5"), ("analyze", "conference:13:0"), ("table1",)])
+def test_cache_naming_an_existing_file_is_a_cache_error(workdir, capsys, argv):
+    # --cache names the directory that holds conference-<k>.json, so a file
+    # there cannot hold it: the write fails and the file is left as it was
+    target = workdir / f"file-{argv[0]}.json"
     target.write_text("kept")
-    code, _, _ = run(capsys, "table1", "--cache", str(target))
-    assert code == 2
+    code, out, err = run(capsys, *argv, "--cache", str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith("cache error: cannot write ")
     assert target.read_text() == "kept"
 
 
@@ -424,7 +431,7 @@ def test_cli_import_loads_no_numpy():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # the value types are NamedTuples and __slots__ classes; dataclasses would
+    # the value types are NamedTuples and one __slots__ class; dataclasses would
     # pull inspect, ast, dis and tokenize into every command's start-up
     src = os.path.dirname(os.path.dirname(framelat.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import framelat.cli; "
@@ -450,22 +457,62 @@ def test_value_types_are_immutable():
             setattr(obj, field, getattr(obj, field))
 
 
-def test_lattice_report_decomposes_the_gram_once(monkeypatch):
+def count_ldl_calls(monkeypatch) -> list:
+    """Record every Gram that gram_model factors from here on."""
     real = lattice.ldl_decompose
     calls = []
+    monkeypatch.setattr(lattice, "ldl_decompose", lambda q: calls.append(q) or real(q))
+    return calls
 
-    def counted(q):
-        calls.append(q)
-        return real(q)
 
-    for module in (cli, lattice):
-        monkeypatch.setattr(module, "ldl_decompose", counted)
+def test_lattice_report_decomposes_the_gram_once(monkeypatch):
+    calls = count_ldl_calls(monkeypatch)
     for label, cf in (("simplex:6", frames.simplex_frame(6)),
                       ("explicit:6x16", frames.frame_6_16()),
                       ("explicit:7x28", frames.frame_7_28())):
         calls.clear()
         cli.lattice_report(label, cf)
         assert len(calls) == 1, label
+
+
+def test_25_50_lattice_check_factors_one_gram(monkeypatch):
+    # ten Grams for the equivalence classes, one model for the determinant
+    calls = count_ldl_calls(monkeypatch)
+    ok, detail = dict(cli.verification_checks(cli.RunConfig()))["25x50-lattice"]()
+    assert ok, detail
+    assert len(calls) == 1
+
+
+def test_oracle_equivalence_factors_each_lattice_once(monkeypatch):
+    # the brute-force oracle scans the model's Gram without factoring it again
+    calls = count_ldl_calls(monkeypatch)
+    ok, detail = dict(cli.verification_checks(cli.RunConfig()))["oracle-equivalence"]()
+    assert ok, detail
+    assert len(calls) == 10
+
+
+def memo_frames():
+    """Every frame that verify-all and analyze build, by (k, n)."""
+    groups = {(k, k + 1): [frames.simplex_frame(k)] for k in range(2, 13)}
+    for k in (5, 13, 25):
+        groups[k, 2 * k] = [frames.conference_frame(p, v)
+                            for p in circulant.search_conference_pairs(k) for v in ("plus", "minus")]
+    for build in cli.EXPLICIT_FRAMES.values():
+        cf = build()
+        groups[cf.frame.k, cf.frame.n] = [cf]
+    return groups
+
+
+def test_lattice_report_memo_holds_one_entry_per_distinct_gram():
+    # the memo keys on n and the basis block C_B, so it is sound only while the
+    # model is a function of them alone; once the model depends on more, this
+    # fails instead of the memo serving a stale entry
+    for (k, n), cfs in memo_frames().items():
+        analyses = {}
+        shared = [cli.lattice_report(f"{k}x{n}:{i}", cf, analyses) for i, cf in enumerate(cfs)]
+        grams = {tuple(map(tuple, lattice.lattice_model(cf).gram)) for cf in cfs}
+        assert len(analyses) == len(grams), (k, n)
+        assert shared == [cli.lattice_report(f"{k}x{n}:{i}", cf) for i, cf in enumerate(cfs)], (k, n)
 
 
 @pytest.mark.parametrize("label, distinct", [("5x10", 2), ("13x26", 3)])

@@ -59,7 +59,7 @@ def model_and_minima(cf):
 
 
 def test_square_lattice_is_eutactic_with_constant_two():
-    model = lattice.LatticeModel([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    model = lattice.gram_model([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     rep = lattice.minimal_vectors(model)
     assert geometry.strong_eutaxy_check(model, rep) == 2
 
@@ -67,7 +67,7 @@ def test_square_lattice_is_eutactic_with_constant_two():
 def test_rectangular_lattice_is_not_eutactic():
     # diag(1, 2): the only minimal pair is +-e1, whose outer square cannot
     # be a multiple of the identity.
-    model = lattice.LatticeModel([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
+    model = lattice.gram_model([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
     rep = lattice.minimal_vectors(model)
     assert geometry.strong_eutaxy_check(model, rep) is None
 
@@ -147,7 +147,7 @@ def lower_triangle_rank(k, vectors):
 
 
 def identity_model(k):
-    return lattice.LatticeModel([[Fraction(int(i == j)) for j in range(k)] for i in range(k)])
+    return lattice.gram_model([[Fraction(int(i == j)) for j in range(k)] for i in range(k)])
 
 
 def every_family():
@@ -171,7 +171,7 @@ def test_rank_equals_lower_triangle_rank_on_every_family():
 def test_rank_with_more_minimal_vectors_than_forms_d4():
     # the Cartan matrix of D4: 12 minimal pairs against 10 forms, and D4 is perfect
     cartan = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-    model = lattice.LatticeModel([[Fraction(v) for v in row] for row in cartan])
+    model = lattice.gram_model([[Fraction(v) for v in row] for row in cartan])
     rep = lattice.minimal_vectors(model)
     assert (rep.min_norm_sq, len(rep.vectors)) == (2, 12)
     assert geometry.perfection_rank(model, rep) == lower_triangle_rank(4, rep.vectors) == 10
@@ -199,7 +199,7 @@ def test_rank_equals_lower_triangle_rank_random():
 
 
 def test_empty_report_has_rank_zero():
-    model = lattice.LatticeModel([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    model = lattice.gram_model([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     fake = lattice.MinVecReport(min_norm_sq=Fraction(1), vectors=[])
     assert geometry.perfection_rank(model, fake) == 0
 

@@ -33,7 +33,6 @@ from framelat.frames import (
     simplex_frame,
 )
 from framelat.lattice import (
-    LatticeModel,
     MinVecReport,
     SearchBudgetExceededError,
     alpha_gate,
@@ -41,6 +40,7 @@ from framelat.lattice import (
     enumerate_short_vectors,
     equivalence_classes,
     frame_vectors_are_minimal,
+    gram_model,
     has_basis_of_minimal_vectors,
     lattice_determinant,
     lattice_model,
@@ -57,7 +57,7 @@ F = Fraction
 
 def model_from_gram(rows):
     gram = [[F(v) for v in row] for row in rows]
-    return LatticeModel(gram)
+    return gram_model(gram)
 
 
 def random_pd_gram(rng, k):
@@ -175,6 +175,11 @@ def test_determinant_13_26():
     assert abs(float(det) - 0.0458) < 1e-4
 
 
+def test_gram_model_rejects_indefinite_at_construction():
+    with pytest.raises(NotPositiveDefiniteError):
+        gram_model([[F(1), F(2)], [F(2), F(1)]])
+
+
 def test_determinant_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         lattice_determinant(model_from_gram([[1, 2], [2, 1]]))
@@ -276,7 +281,7 @@ def test_frame_vectors_are_not_minimal_when_beta_exceeds_one():
 def test_frame_vectors_trivial_when_basis_is_whole_frame():
     spec = FrameSpec(k=2, n=2, seidel=[[0, 0], [0, 0]])
     cf = CoordinateFrame(frame=spec, basis_indices=(1, 2), coords=[[1, 0], [0, 1]])
-    rep = minimal_vectors(LatticeModel([[F(1), F(0)], [F(0), F(1)]]))
+    rep = minimal_vectors(gram_model([[F(1), F(0)], [F(0), F(1)]]))
     assert frame_vectors_are_minimal(cf, rep)
 
 
@@ -463,8 +468,7 @@ def test_minimal_vectors_node_count_at_k25(monkeypatch):
     # one integer square root per node visited: 6665 when both vectors of a
     # +- pair were walked, about half with x_j >= 0 under all-zero levels
     cf = conference_frame(load_pairs(str(CACHE_25), 25)[0], "plus")
-    model = lattice_model(cf)
-    model.ldl  # factor first, so that only the search's square roots are counted
+    model = lattice_model(cf)  # factored here, so only the search's square roots are counted
     nodes = 0
     isqrt = math.isqrt
 
