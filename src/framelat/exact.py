@@ -304,9 +304,7 @@ def sqrt_rational(r: Rational) -> SurdValue:
     r = Fraction(r)
     if r < 0:
         raise NegativeRadicandError("cannot take the square root of a negative rational")
-    p, q = r.numerator, r.denominator
-    m, f = squarefree_decompose(p * q)
-    return SurdValue(Fraction(m, q), f)
+    return SurdValue(Fraction(1, r.denominator), r.numerator * r.denominator)
 
 
 def floor_sqrt(r: Rational) -> int:

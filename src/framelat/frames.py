@@ -13,8 +13,15 @@ derived from P.  A conference pair's record
 which k gives, and is computed once per sign orbit {(+-a, +-d)}; a pair
 with a singular D has no record and no coordinate frame.
 Each construction returns its CoordinateFrame alone, whose ``frame`` is the
-FrameSpec.  ``coordinatize`` raises ValueError on a spec that is not a unit
-tight equiangular frame.
+FrameSpec, and each is certified where it is built:
+
+* ``coordinatize`` (and ``frame_6_16``, ``frame_7_28`` through it) raises
+  ValueError unless C is a sign matrix whose full Gram has rank k, which
+  implies a unit tight equiangular frame;
+* ``conference_frame`` raises ValueError unless its pair is a symmetric sign
+  pattern that meets the conference condition A² + D² = (2k-1)·I, which makes
+  C² = (2k-1)·I, the tightness identity of a (k, 2k) frame;
+* ``simplex_frame`` is a frame by its formula.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import mul
 from typing import NamedTuple
 
@@ -39,7 +46,6 @@ from .exact import (
     Mat,
     SingularMatrixError,
     SurdValue,
-    mat_mul,
     pivot_columns,
     solve_linear,
     sqrt_rational,
@@ -83,16 +89,6 @@ class CoordinateFrame(NamedTuple):
     def beta(self) -> int:
         """lcm of the coordinate denominators, computed on each access."""
         return math.lcm(*{v.denominator for row in self.coords for v in row})
-
-
-class ValidationReport(NamedTuple):
-    seidel_ok: bool
-    tightness_ok: bool
-    gerzon_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.seidel_ok and self.tightness_ok and self.gerzon_ok
 
 
 def basis_gram(cf: CoordinateFrame) -> Mat:
@@ -266,18 +262,17 @@ def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> Coordin
     P.  Defaults to the greedy-leftmost basis.
 
     ValueError unless spec is a unit tight equiangular frame, decided by two
-    cheap tests instead of validate_frame's O(n³) product C²: C is a sign
-    matrix (symmetric, zero diagonal, +-1 elsewhere), and the full Gram
-    G = I + C/alpha has rank exactly k, the rank the greedy basis search finds
-    anyway.  Together they imply tightness.  C's eigenvalues have sum tr C = 0
-    and sum of squares tr C² = n(n-1).  Rank k puts n-k of them at -alpha, so
-    the other k sum to (n-k)·alpha and their squares to
-    n(n-1) - (n-k)·alpha² = (n-1)(n-k), using alpha² = k(n-1)/(n-k).  That is
-    equality in Cauchy-Schwarz, so all k equal (n-k)·alpha/k, and G has
-    eigenvalues 0 and n/k only: G is n/k times a rank-k projection, the Gram
-    of a unit tight frame.  Every nonsingular basis Gram Q of such a G is
-    positive definite, so Q needs no test of its own; a singular explicit
-    basis raises SingularMatrixError.
+    tests: C is a sign matrix (symmetric, zero diagonal, +-1 elsewhere), and
+    the full Gram G = I + C/alpha has rank exactly k, the rank the greedy
+    basis search finds anyway.  Together they imply tightness.  C's
+    eigenvalues have sum tr C = 0 and sum of squares tr C² = n(n-1).  Rank k
+    puts n-k of them at -alpha, so the other k sum to (n-k)·alpha and their
+    squares to n(n-1) - (n-k)·alpha² = (n-1)(n-k), using
+    alpha² = k(n-1)/(n-k).  That is equality in Cauchy-Schwarz, so all k
+    equal (n-k)·alpha/k, and G has eigenvalues 0 and n/k only: G is n/k
+    times a rank-k projection, the Gram of a unit tight frame.  Every
+    nonsingular basis Gram Q of such a G is positive definite, so Q needs no
+    test of its own; a singular explicit basis raises SingularMatrixError.
     """
     if not _seidel_ok(spec.seidel, spec.n):
         raise ValueError("the Seidel matrix is not a symmetric sign matrix with zero diagonal")
@@ -292,35 +287,40 @@ def coordinatize(spec: FrameSpec, basis_indices: tuple | None = None) -> Coordin
     return CoordinateFrame(frame=spec, basis_indices=basis, coords=solve_linear(square, rows))
 
 
+def _seidel_ok(c, n) -> bool:
+    """Whether c is an n x n symmetric matrix with zero diagonal and +-1 elsewhere."""
+    if len(c) != n or any(len(row) != n for row in c):
+        return False
+    for i in range(n):
+        if c[i][i] != 0:
+            return False
+        for j in range(n):
+            if c[i][j] != c[j][i]:
+                return False
+            if i != j and c[i][j] not in (-1, 1):
+                return False
+    return True
+
+
 def _explicit_frame(vectors, k: int, basis: tuple | None = None) -> CoordinateFrame:
     """Build a frame from integer vector representatives of one common length |v|².
 
     Seidel entry (i, j) is alpha·(v_i·v_j)/|v|², less alpha on the diagonal,
     taken from the integer dot product with one divmod and mirrored, so each
-    unordered pair costs one dot product.  ValueError when an entry is not an
-    integer, a diagonal entry (a vector of another length) is not 0, or an
-    off-diagonal entry is not +-1: such vectors are not a unit frame's.
+    unordered pair, i = j included, costs one dot product.  ValueError when an
+    entry is not an integer; whether the integers make a unit frame's Seidel
+    matrix is ``coordinatize``'s test.
     """
     n = len(vectors)
     alpha = rational_alpha(k, n)
     scale = sum(x * x for x in vectors[0])
     den = alpha.denominator * scale
-
-    def entry(i: int, j: int) -> int:
+    seidel = [[0] * n for _ in range(n)]
+    for i, j in combinations_with_replacement(range(n), 2):
         t = alpha.numerator * (sum(map(mul, vectors[i], vectors[j])) - (scale if i == j else 0))
         v, r = divmod(t, den)
         if r:
             raise ValueError(f"Seidel entry ({i}, {j}) = {F(t, den)} is not an integer")
-        return v
-
-    for i in range(n):
-        if v := entry(i, i):
-            raise ValueError(f"Seidel entry ({i}, {i}) = {v} is not 0")
-    seidel = [[0] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        v = entry(i, j)
-        if v not in (-1, 1):
-            raise ValueError(f"Seidel entry ({i}, {j}) = {v} is not +-1")
         seidel[i][j] = seidel[j][i] = v
     return coordinatize(FrameSpec(k=k, n=n, seidel=seidel), basis)
 
@@ -346,44 +346,3 @@ def scaled_vectors_7_28() -> list:
 def frame_7_28() -> CoordinateFrame:
     """The (7,28) frame carried by 28 permutations of (-3,-3,1,...,1)."""
     return _explicit_frame(scaled_vectors_7_28(), 7, _BASIS_7_28)
-
-
-# --- validation ---------------------------------------------------------------
-
-def _seidel_ok(c, n) -> bool:
-    """Whether c is an n x n symmetric matrix with zero diagonal and +-1 elsewhere."""
-    if len(c) != n or any(len(row) != n for row in c):
-        return False
-    for i in range(n):
-        if c[i][i] != 0:
-            return False
-        for j in range(n):
-            if c[i][j] != c[j][i]:
-                return False
-            if i != j and c[i][j] not in (-1, 1):
-                return False
-    return True
-
-
-def validate_frame(spec: FrameSpec) -> ValidationReport:
-    """Check Seidel shape, tightness, and the Gerzon bound.
-
-    Tightness means M² = gamma·M for M = I + (1/alpha)C, which is the identity
-    C² = (gamma-1)·alpha²·I + (gamma-2)·alpha·C on the integer matrix C.  For
-    alpha = q·sqrt(m) with m > 1 the last term is irrational while the others
-    are rational, so it must vanish on its own: (gamma-2)·C = 0.
-    """
-    k, n, c = spec.k, spec.n, spec.seidel
-    seidel_ok = _seidel_ok(c, n)
-    gerzon_ok = n <= k * (k + 1) // 2
-
-    tight = False
-    if seidel_ok:
-        alpha, gamma = frame_alpha(k, n), F(n, k)
-        diag = (gamma - 1) * alpha.squared()
-        lin = (gamma - 2) * alpha.coeff if alpha.radicand == 1 else 0
-        surd_ok = alpha.radicand == 1 or all((gamma - 2) * v == 0 for row in c for v in row)
-        cc = mat_mul(c, c)
-        tight = surd_ok and all(cc[i][j] == (diag if i == j else 0) + lin * c[i][j]
-                                for i in range(n) for j in range(n))
-    return ValidationReport(seidel_ok=seidel_ok, tightness_ok=tight, gerzon_ok=gerzon_ok)

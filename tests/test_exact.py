@@ -326,6 +326,17 @@ def test_sqrt_rational_surd():
     assert s.radicand == 3
 
 
+def test_sqrt_rational_normalizes_once(monkeypatch):
+    # √(p/q) = √(p·q)/q: SurdValue decomposes p·q itself, so sqrt_rational
+    # must not decompose it first
+    calls = []
+    real = exact.squarefree_decompose
+    monkeypatch.setattr(exact, "squarefree_decompose", lambda n: calls.append(n) or real(n))
+    s = sqrt_rational(F(8, 3))
+    assert (s.coeff, s.radicand) == (F(2, 3), 6)
+    assert calls == [24]
+
+
 def test_sqrt_zero():
     s = sqrt_rational(0)
     assert s.coeff == 0 and s.radicand == 1

@@ -1,4 +1,4 @@
-"""Tests for frame constructions and validation."""
+"""Tests for frame constructions and the checks that certify them."""
 
 import random
 from fractions import Fraction
@@ -41,7 +41,6 @@ from framelat.frames import (
     rational_alpha,
     select_basis_greedy,
     simplex_frame,
-    validate_frame,
 )
 
 F = Fraction
@@ -64,6 +63,14 @@ def gram_consistency_holds(cf):
     return mat_mul(transpose(p), mat_mul(basis_gram(cf), p)) == full_gram(cf.frame)
 
 
+def gram_is_tight(spec):
+    """Definition oracle: M² = gamma·M on the rational Gram M, with denominators
+    cleared first."""
+    scale, m = clear_denominators(full_gram(spec))
+    g = F(spec.n, spec.k) * scale
+    return mat_mul(m, m) == [[g * v for v in row] for row in m]
+
+
 # --- simplex ---------------------------------------------------------------
 
 def test_simplex_small():
@@ -79,8 +86,7 @@ def test_simplex_small():
 def test_simplex_alpha_and_gerzon():
     spec = simplex_frame(9).frame
     assert frame_alpha(spec.k, spec.n) == SurdValue(F(9))
-    rep = validate_frame(spec)
-    assert rep.all_ok
+    assert spec.n <= spec.k * (spec.k + 1) // 2
 
 
 def test_simplex_determinant_formula():
@@ -91,9 +97,11 @@ def test_simplex_determinant_formula():
 
 
 def test_simplex_validates():
+    # the simplex is a frame by its formula; coordinatize accepts its spec and
+    # solves back to the formula's P = [I | -1]
     for k in (2, 4, 7):
-        spec = simplex_frame(k).frame
-        assert validate_frame(spec).all_ok
+        cf = simplex_frame(k)
+        assert coordinatize(cf.frame) == cf
 
 
 # --- conference frames -------------------------------------------------------
@@ -111,7 +119,6 @@ def test_conference_plus_5_10():
     assert cf.coords[0][:5] == [1, 0, 0, 0, 0]
     assert cf.coords[0][5:] == [-1, 0, 1, 1, 0]
     assert gram_consistency_holds(cf)
-    assert validate_frame(spec).all_ok
 
 
 def test_conference_minus_5_10():
@@ -149,8 +156,9 @@ def test_conference_spec_irrational_still_tight():
     pairs = search_conference_pairs(3)
     spec = conference_frame_spec(pairs[0])
     assert frame_alpha(spec.k, spec.n).radicand == 5
-    rep = validate_frame(spec)
-    assert rep.all_ok
+    # M² = gamma·M for M = I + C/alpha at gamma = 2 is C² = alpha²·I = 5·I
+    assert mat_mul(spec.seidel, spec.seidel) == [[5 * (i == j) for j in range(6)]
+                                                 for i in range(6)]
 
 
 def test_conference_rejects_unknown_variant():
@@ -220,8 +228,9 @@ def test_conference_data_rejects_a_non_conference_pair():
         p = ConferencePair(5, a_row, d_row)
         with pytest.raises(ValueError, match="not a conference pair"):
             conference_data(p)
-        with pytest.raises(ValueError, match="not a conference pair"):
-            conference_frame(p, "plus")
+        for variant in ("plus", "minus"):
+            with pytest.raises(ValueError, match="not a conference pair"):
+                conference_frame(p, variant)
 
 
 def test_conference_data_irrational_alpha():
@@ -240,7 +249,6 @@ def test_frame_6_16():
     assert cf.beta == 1
     assert det_of_basis_gram(cf) == F(2 ** 6, 3 ** 6)
     assert gram_consistency_holds(cf)
-    assert validate_frame(spec).all_ok
 
 
 def test_frame_6_16_greedy_basis_matches():
@@ -249,13 +257,12 @@ def test_frame_6_16_greedy_basis_matches():
 
 
 def test_frame_6_16_tightness_breaks_under_sign_flip():
-    spec = frame_6_16().frame
-    c = [row[:] for row in spec.seidel]
-    c[0][1] = -c[0][1]
-    c[1][0] = -c[1][0]
+    c = [row[:] for row in frame_6_16().frame.seidel]
+    c[0][1] = c[1][0] = -c[0][1]
     bad = FrameSpec(k=6, n=16, seidel=c)
-    rep = validate_frame(bad)
-    assert rep.seidel_ok and not rep.tightness_ok
+    assert not gram_is_tight(bad)
+    with pytest.raises(ValueError, match="not k = 6"):
+        coordinatize(bad)
 
 
 def test_frame_7_28():
@@ -267,7 +274,6 @@ def test_frame_7_28():
     assert cf.beta == 1
     assert det_of_basis_gram(cf) == F(2 ** 6, 3 ** 7)
     assert gram_consistency_holds(cf)
-    assert validate_frame(spec).all_ok
 
 
 def test_explicit_frame_rejects_a_non_integer_seidel_entry():
@@ -279,14 +285,14 @@ def test_explicit_frame_rejects_a_non_integer_seidel_entry():
 
 def test_explicit_frame_rejects_vectors_that_are_not_a_frame():
     # one common length, but the first two vectors are equal: Seidel entry
-    # (0, 1) = alpha·2/2 = 2, which no unit frame has
-    with pytest.raises(ValueError, match=r"\(0, 1\) = 2 is not \+-1"):
+    # (0, 1) = alpha·2/2 = 2, which no unit frame has; coordinatize rejects it
+    with pytest.raises(ValueError, match="not a symmetric sign matrix"):
         _explicit_frame([[1, 1], [1, 1], [1, -1]], 2)
 
 
 def test_explicit_frame_rejects_a_nonzero_diagonal_entry():
     # lengths 4, 4 and 16: the diagonal entry alpha·16/4 - alpha = 6 at (2, 2)
-    with pytest.raises(ValueError, match=r"\(2, 2\) = 6 is not 0"):
+    with pytest.raises(ValueError, match="not a symmetric sign matrix"):
         _explicit_frame([[2, 0], [0, 2], [4, 0]], 2)
 
 
@@ -315,26 +321,35 @@ def test_frame_spec_repr():
     assert repr(spec) == "FrameSpec(k=2, n=3, seidel=[[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])"
 
 
-@pytest.mark.parametrize("seidel", [
-    [[0, 2, 0], [2, 0, 0], [0, 0, 0]],  # two equal frame vectors and a zero row
-    [[0, 1], [1, 0]],  # 2 x 2 for n = 3
-], ids=["not-sign", "wrong-shape"])
-def test_coordinatize_rejects_a_seidel_matrix_that_is_not_a_sign_matrix(seidel):
-    spec = FrameSpec(2, 3, seidel)
-    assert not validate_frame(spec).seidel_ok
+def simplex_3_with(i, j, v):
+    """The 3-simplex's Seidel matrix with entry (i, j) alone set to v."""
+    c = [row[:] for row in simplex_frame(3).frame.seidel]
+    c[i][j] = v
+    return c
+
+
+@pytest.mark.parametrize("k, n, seidel", [
+    (2, 3, [[0, 2, 0], [2, 0, 0], [0, 0, 0]]),  # two equal frame vectors and a zero row
+    (2, 3, [[0, 1], [1, 0]]),  # 2 x 2 for n = 3
+    (3, 4, simplex_3_with(0, 1, 1)),
+    (3, 4, simplex_3_with(0, 0, -1)),
+    (3, 4, simplex_3_with(0, 1, 2)),  # not +-1, and not symmetric either
+    (3, 4, simplex_frame(3).frame.seidel[:3]),  # three rows for n = 4
+], ids=["not-sign", "wrong-shape", "asymmetric", "nonzero-diagonal", "not-pm1", "missing-row"])
+def test_coordinatize_rejects_a_seidel_matrix_that_is_not_a_sign_matrix(k, n, seidel):
     with pytest.raises(ValueError, match="not a symmetric sign matrix"):
-        coordinatize(spec)
+        coordinatize(FrameSpec(k, n, seidel))
 
 
 def test_coordinatize_rejects_every_single_sign_flip_of_6x16():
-    # each flip of one symmetric pair leaves a sign matrix that is not tight;
-    # the full Gram's rank, not validate_frame's C², is what catches it
+    # each flip of one symmetric pair leaves a sign matrix that is not tight,
+    # and the full Gram's rank is what catches it
     spec = frame_6_16().frame
     for i, j in combinations(range(16), 2):
         c = [row[:] for row in spec.seidel]
         c[i][j] = c[j][i] = -c[i][j]
         bad = FrameSpec(6, 16, c)
-        assert not validate_frame(bad).tightness_ok, (i, j)
+        assert not gram_is_tight(bad), (i, j)
         with pytest.raises(ValueError, match=r"gram has rank \d+, not k = 6"):
             coordinatize(bad)
 
@@ -349,7 +364,7 @@ def test_coordinatize_checks_the_rank_under_an_explicit_basis():
 
 def test_coordinatize_accepts_switched_and_permuted_frames():
     # switching (C -> SCS for a diagonal sign matrix S) and relabelling keep a
-    # frame a frame, and validate_frame agrees with coordinatize's two tests
+    # frame a frame, and the definition agrees with coordinatize's two tests
     rng = random.Random(26)
     for spec in (frame_6_16().frame, frame_7_28().frame, simplex_frame(6).frame):
         n = spec.n
@@ -358,7 +373,7 @@ def test_coordinatize_accepts_switched_and_permuted_frames():
             order = rng.sample(range(n), n)
             c = [[signs[i] * spec.seidel[i][j] * signs[j] for j in order] for i in order]
             moved = FrameSpec(spec.k, n, c)
-            assert validate_frame(moved).all_ok
+            assert gram_is_tight(moved)
             assert gram_consistency_holds(coordinatize(moved))
 
 
@@ -380,7 +395,7 @@ def test_a_rank_k_gram_makes_every_nonsingular_basis_gram_positive_definite():
     assert seen == {"singular", "definite"}
 
 
-# --- derived fields and the tightness identity ---------------------------------
+# --- derived fields and the frame every construction builds -------------------
 
 # beta of each pair's plus and minus frame, pair by pair, as stored by the
 # constructors before beta was derived from the coordinates
@@ -413,57 +428,21 @@ def test_derived_fields_equal_the_formerly_stored_values():
         assert (*alpha_gamma(cf.frame), cf.beta) == (SurdValue(F(3)), gamma, 1)
 
 
-def flipped(spec):
-    """The frame with the sign of the inner product between vectors 1 and 2 flipped."""
-    c = [row[:] for row in spec.seidel]
-    c[0][1] = c[1][0] = -c[0][1]
-    return FrameSpec(k=spec.k, n=spec.n, seidel=c)
+def constructed_frames(family):
+    """Every coordinate frame one construction family builds for the paper."""
+    if family == "simplex":
+        return [simplex_frame(k) for k in range(2, 13)]
+    if family == "explicit":
+        return [frame_6_16(), frame_7_28()]
+    k, variant = family.split("-")
+    return [conference_frame(p, variant) for p in conference_pairs(int(k))]
 
 
-def gram_is_tight(spec):
-    """M² = gamma·M on the rational Gram M, with denominators cleared first."""
-    scale, m = clear_denominators(full_gram(spec))
-    g = F(spec.n, spec.k) * scale
-    return mat_mul(m, m) == [[g * v for v in row] for row in m]
-
-
-def test_tightness_identity_agrees_with_the_definition():
-    specs = [simplex_frame(k).frame for k in range(2, 13)]
-    specs += [conference_frame_spec(p) for k in STORED_BETAS for p in conference_pairs(k)]
-    specs += [frame_6_16().frame, frame_7_28().frame]
-    verdicts = set()
-    for spec in specs + [flipped(s) for s in specs]:
-        direct = gram_is_tight(spec)
-        assert validate_frame(spec).tightness_ok == direct, (spec.k, spec.n)
-        verdicts.add(direct)
-    assert verdicts == {True, False}
-
-
-def test_tightness_identity_agrees_with_the_surd_split():
-    # alpha = sqrt(5) at k = 3: M² = gamma·M holds exactly when the rational
-    # part C² = (gamma-1)·alpha²·I and the surd part (gamma-2)·C = 0 both do
-    # (k, n) = (4, 6) relabels the same C: alpha = sqrt(10), gamma = 3/2, so
-    # the rational part C² = 5·I still holds but the surd part fails
-    spec = conference_frame_spec(search_conference_pairs(3)[0])
-    relabelled = FrameSpec(k=4, n=6, seidel=spec.seidel)
-    verdicts = []
-    for s in (spec, flipped(spec), relabelled):
-        alpha, gamma = alpha_gamma(s)
-        cc = mat_mul(s.seidel, s.seidel)
-        rational_part = cc == [[(gamma - 1) * alpha.squared() * (i == j) for j in range(6)]
-                               for i in range(6)]
-        surd_part = all((gamma - 2) * v == 0 for row in s.seidel for v in row)
-        assert alpha.radicand > 1
-        assert validate_frame(s).tightness_ok == (rational_part and surd_part)
-        verdicts.append((rational_part, surd_part))
-    assert verdicts == [(True, True), (False, True), (True, False)]
-
-
-def test_seidel_shape():
-    spec = simplex_frame(3).frame
-    assert validate_frame(spec).seidel_ok
-    for i, j, v in ((0, 1, 1), (0, 0, -1), (0, 1, 2)):
-        c = [row[:] for row in spec.seidel]
-        c[i][j] = v  # breaks symmetry, the zero diagonal, or the +-1 entries
-        assert not validate_frame(FrameSpec(k=3, n=4, seidel=c)).seidel_ok
-    assert not validate_frame(FrameSpec(k=3, n=4, seidel=spec.seidel[:3])).seidel_ok
+@pytest.mark.parametrize("family", [
+    "simplex", "5-plus", "5-minus", "13-plus", "13-minus", "25-plus", "25-minus", "explicit",
+])
+def test_every_construction_builds_a_tight_frame_within_the_gerzon_bound(family):
+    for cf in constructed_frames(family):
+        spec = cf.frame
+        assert gram_is_tight(spec), (spec.k, spec.n)
+        assert spec.n <= spec.k * (spec.k + 1) // 2

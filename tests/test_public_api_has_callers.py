@@ -13,7 +13,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "framelat"
 
 ALLOWED_WITHOUT_CALLER = {
     "circulant_inverse": "benchmark tracer target; the tests' reference for N^{-1}",
-    "validate_frame": "test reference until verify-all has a frames check",
 }
 
 
