@@ -6,7 +6,8 @@ cache, full per-lattice analysis reports, a self-contained verification
 matrix, and the shrinking-vector demonstration that the icosahedral frame
 spans no lattice.  Each command builds one record, its JSON document, and
 ``render`` prints that as JSON, as the command's CSV table, or through its text
-template.  A command accepts only the flags it reads (see ``COMMANDS``).
+template.  A command accepts only the flags it reads: ``COMMANDS`` declares
+them, and ``parse_args`` reads argv and ``help_text`` prints --help from it.
 One table, ``FAMILIES``, holds the paper's (k, n) families: the analyze
 selector of each lattice and its closed-form volume.  ``table1`` prints it, the
 ``alpha-gate`` check tests it, and the verification matrix's frame-family
@@ -19,13 +20,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cache error.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -151,6 +152,12 @@ EXPLICIT_FRAMES = {"explicit:6x16": frames.frame_6_16, "explicit:7x28": frames.f
 _SELECTOR_GRAMMAR = " | ".join(("simplex:k", "conference:k[:pair[:variant]]", *EXPLICIT_FRAMES))
 
 
+def _gram_key(cf) -> tuple:
+    """n and the integer Seidel block C_B on the basis: equal keys, equal basis Grams."""
+    seidel, idx = cf.frame.seidel, [b - 1 for b in cf.basis_indices]
+    return (cf.frame.n, *(tuple(seidel[i][j] for j in idx) for i in idx))
+
+
 def lattice_report(label: str, cf, analyses: dict | None = None) -> dict:
     """Full analysis record for one coordinatized frame (the JSON schema).
 
@@ -160,8 +167,7 @@ def lattice_report(label: str, cf, analyses: dict | None = None) -> dict:
     Gram nor its LDL'; label, n, beta and framesAreMinimal are always the
     frame's own.
     """
-    k, seidel, idx = cf.frame.k, cf.frame.seidel, [b - 1 for b in cf.basis_indices]
-    key = (cf.frame.n, *(tuple(seidel[i][j] for j in idx) for i in idx))
+    k, key = cf.frame.k, _gram_key(cf)
     analyses = {} if analyses is None else analyses
     if key not in analyses:
         model = lattice.lattice_model(cf)
@@ -482,7 +488,7 @@ def _check_5_10():
 
 def _check_13_26():
     pairs = circulant.search_conference_pairs(13)
-    n_int, inv_int, grams = [], [], []
+    n_int, inv_int = [], []
     for p in pairs:
         facts = _pair_facts(p)
         if abs(facts["detD"]) != 7680000:
@@ -496,13 +502,16 @@ def _check_13_26():
     if sum(n_int) != 6 or sum(inv_int) != 6 or any(a and b for a, b in zip(n_int, inv_int)):
         return False, "expected a clean 6 / 6 split of N vs N^-1 integrality"
     want = _frame_minimal(13, 26)
-    analyses = {}  # the twelve frames have three distinct basis Grams
+    grams, gram_of, analyses = {}, [], {}  # the twelve frames have three distinct basis Grams
     for i, p in enumerate(pairs):
         cf = frames.conference_frame(p, frames.preferred_variant(p))
-        grams.append(frames.basis_gram(cf))
+        if (key := _gram_key(cf)) not in grams:
+            grams[key] = frames.basis_gram(cf)
+        gram_of.append(list(grams).index(key))
         if bad := _mismatch(lattice_report(f"conference:13:{i}", cf, analyses), want):
             return False, f"pair {i}: {bad}"
-    classes = lattice.equivalence_classes(grams)
+    classes = [[i for i, g in enumerate(gram_of) if g in members]
+               for members in lattice.equivalence_classes(list(grams.values()))]
     if classes != [[0, 1, 10, 11], [2, 3, 8, 9], [4, 5, 6, 7]]:
         return False, f"equivalence classes {classes} differ from the expected three"
     return True, "dets, 6/6 integrality split, 52 minimal = frame, 3 equivalence classes"
@@ -738,26 +747,51 @@ def _verify_text(report: dict) -> str:
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise ValueError("must be >= 1")
     return value
+
+
+def _report_format(text: str) -> str:
+    if text not in ("json", "csv", "text"):
+        raise ValueError(f"invalid choice: {text!r} (choose from json, csv, text)")
+    return text
+
+
+class Arg(NamedTuple):
+    """A positional or a ``--flag`` of a command.  A flag with a metavar takes
+    a value; one without is a switch that sets True.  A positional without a
+    default is required."""
+    name: str
+    help: str
+    metavar: str = ""
+    dest: str = ""  # the parsed key, when not the name with "-" read as "_"
+    convert: Callable = str  # text -> value; a ValueError is a usage error
+    default: object = None
+    repeat: bool = False  # a flag given once per value, the values in a list
+
+    @property
+    def key(self) -> str:
+        return self.dest or self.name.lstrip("-").replace("-", "_")
 
 
 class Command(NamedTuple):
     help: str
-    arguments: tuple  # (name, add_argument keywords): the positionals and the flags it reads
+    arguments: tuple  # Args: the positionals and the flags it reads
     report: Callable  # (parsed args, RunConfig) -> record, the JSON document
     table: Callable  # record -> (CSV header, CSV rows)
     text: Callable  # record -> text report
 
 
+_HELP = Arg("--help", "show this help message and exit")
+_FORMAT = Arg("--format", "report format", "{json,csv,text}", "output_format", _report_format, "text")
 _CACHE_FLAGS = (
-    ("--cache", {"dest": "cache_path",
-                 "help": "directory of conference-<k>.json pair caches (default cache)"}),
-    ("--no-cache", {"action": "store_true", "help": "neither read nor write the pair cache"}),
+    Arg("--cache", "directory of conference-<k>.json pair caches (default cache)", "DIR",
+        "cache_path"),
+    Arg("--no-cache", "neither read nor write the pair cache"),
 )
 _UNVERIFIED_FLAG = (
-    ("--allow-unverified", {"action": "store_true", "help": "permit searches outside k in "
-                            f"{{{', '.join(map(str, KNOWN_SEARCH_SIZES))}}}"}),
+    Arg("--allow-unverified",
+        f"permit searches outside k in {{{', '.join(map(str, KNOWN_SEARCH_SIZES))}}}"),
 )
 
 COMMANDS = {
@@ -767,24 +801,25 @@ COMMANDS = {
         lambda record: _surd_table(record["rows"]), _table1_text),
     "search": Command(
         "conference-pair search for one odd k",
-        (("k", {"type": int}), *_CACHE_FLAGS, *_UNVERIFIED_FLAG),
-        lambda args, cfg: search_report(args.k, cfg), _search_table, _search_text),
+        (Arg("k", "the odd order k of the circulant pairs", convert=int),
+         *_CACHE_FLAGS, *_UNVERIFIED_FLAG),
+        lambda args, cfg: search_report(args["k"], cfg), _search_table, _search_text),
     "analyze": Command(
         "full analysis of one frame selector",
-        (("selector", {"help": _SELECTOR_GRAMMAR}),
-         *_CACHE_FLAGS, *_UNVERIFIED_FLAG),
-        lambda args, cfg: analyze_selector(args.selector, cfg),
+        (Arg("selector", _SELECTOR_GRAMMAR), *_CACHE_FLAGS, *_UNVERIFIED_FLAG),
+        lambda args, cfg: analyze_selector(args["selector"], cfg),
         lambda record: _surd_table([record]), _analyze_text),
     "verify-all": Command(
         "run the whole verification matrix",
         (*_CACHE_FLAGS,
-         ("--skip", {"action": "append", "default": [], "metavar": "LABEL",
-                     "help": "skip a verification check (repeatable), e.g. --skip 25x50"})),
+         Arg("--skip", "skip a verification check (repeatable), e.g. --skip 25x50", "LABEL",
+             repeat=True)),
         lambda args, cfg: verify_all_report(cfg), _verify_table, _verify_text),
     "demo-nonlattice": Command(
         "shrinking-vector walk in the icosahedral frame",
-        (("steps", {"nargs": "?", "type": _positive_int, "default": 12}),),
-        lambda args, cfg: demo_report(args.steps), _demo_table, _demo_text),
+        (Arg("steps", "number of steps, a positive int (default 12)", convert=_positive_int,
+             default=12),),
+        lambda args, cfg: demo_report(args["steps"]), _demo_table, _demo_text),
 }
 
 
@@ -797,26 +832,100 @@ def render(record: dict, fmt: str, command: Command) -> str:
     return command.text(record)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="framelat",
-        description="Equiangular tight frames, their coordinate lattices, and the "
-                    "supporting circulant searches.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                       dest="output_format", help="report format")
-        for arg, keywords in command.arguments:
-            p.add_argument(arg, **keywords)
-    return parser
+def help_text(name: str | None = None) -> str:
+    """The --help page of one command or, with no name, of the program; its
+    first line is the usage."""
+    if name is None:
+        usage = f"{{{','.join(COMMANDS)}}} ..."
+        about = "Equiangular tight frames, their coordinate lattices, and the supporting circulant searches."
+        rows = list(COMMANDS.items())
+    else:
+        args, about = (_FORMAT, *COMMANDS[name].arguments), COMMANDS[name].help
+        rows = [("-h, --help", _HELP), *((f"{a.name} {a.metavar}".rstrip(), a) for a in args)]
+        usage = " ".join((name, "[-h]", *(f"[{s}]" for s, a in rows[1:] if a.name[0] == "-"),
+                          *(a.name if a.default is None else f"[{a.name}]"
+                            for a in args if a.name[0] != "-")))
+    width = max(len(s) for s, _ in rows)
+    rows = [f"  {s:<{width}}  {entry.help}" for s, entry in rows]
+    return "\n".join((f"usage: framelat {usage}", "", about, "", *rows))
+
+
+def _exit(name: str | None, error: str = ""):
+    """Print the help page and exit 0 or, given an error, the usage and the error and exit 2."""
+    if not error:
+        print(help_text(name))
+        raise SystemExit(0)
+    usage, prog = help_text(name).splitlines()[0], "framelat" if name is None else f"framelat {name}"
+    print(f"{usage}\n{prog}: error: {error}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_option(token: str) -> bool:
+    # "-" alone and a negative number such as -5 are values, as in argparse
+    return token[:1] == "-" and token != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", token)
+
+
+def _convert(name: str, arg: Arg, text: str):
+    try:
+        return arg.convert(text)
+    except ValueError as exc:
+        _exit(name, f"argument {arg.name}: {exc}")
+
+
+def parse_args(argv: Sequence[str]) -> dict:
+    """argv read against COMMANDS: {"command": its name, "output_format", and
+    the key of each of its arguments}.  Flags may come before or after the
+    positionals, as --flag=value, or by a unique prefix; "--" ends the flags.
+    -h or --help prints help and exits 0; a usage error exits 2."""
+    if not argv:
+        _exit(None, "the following arguments are required: command")
+    if argv[0] not in COMMANDS:
+        _exit(None, "" if argv[0] in ("-h", "--h", "--he", "--hel", "--help") else
+              f"argument command: invalid choice: {argv[0]!r} (choose from {', '.join(COMMANDS)})")
+    name, tokens = argv[0], list(argv[1:])
+    args = (_FORMAT, *COMMANDS[name].arguments)
+    flags = {a.name: a for a in (_HELP, *args) if a.name[0] == "-"}
+    parsed = {"command": name, **{a.key: [] if a.repeat else a.default if a.metavar else False
+                                  for a in args if a.name[0] == "-"}}
+    given = []
+    while tokens:
+        token = tokens.pop(0)
+        if token == "--":
+            given += tokens
+            break
+        if not _is_option(token):
+            given.append(token)
+            continue
+        spelling, eq, value = token.partition("=")
+        hits = [spelling] if spelling in flags else [f for f in flags if f.startswith(spelling)]
+        if token == "-h" or hits == ["--help"] and not eq:
+            _exit(name)
+        if len(hits) != 1:
+            _exit(name, f"ambiguous option: {spelling} could match {', '.join(hits)}"
+                  if hits else f"unrecognized arguments: {token}")
+        arg = flags[hits[0]]
+        if not arg.metavar and eq:
+            _exit(name, f"argument {arg.name}: ignored explicit argument {value!r}")
+        if arg.metavar and not eq:
+            if not tokens or tokens[0] == "--" or _is_option(tokens[0]):
+                _exit(name, f"argument {arg.name}: expected one argument")
+            value = tokens.pop(0)
+        value = _convert(name, arg, value) if arg.metavar else True
+        parsed[arg.key] = parsed[arg.key] + [value] if arg.repeat else value
+    positionals = [a for a in args if a.name[0] != "-"]
+    if len(given) > len(positionals):
+        _exit(name, f"unrecognized arguments: {' '.join(given[len(positionals):])}")
+    if missing := [a.name for a in positionals[len(given):] if a.default is None]:
+        _exit(name, f"the following arguments are required: {', '.join(missing)}")
+    for i, arg in enumerate(positionals):
+        parsed[arg.key] = _convert(name, arg, given[i]) if i < len(given) else arg.default
+    return parsed
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = COMMANDS[args.command]
-    given = vars(args)
-    cfg = RunConfig(**{name: given[name] for name in RunConfig._fields if name in given})
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    command = COMMANDS[args["command"]]
+    cfg = RunConfig(**{name: args[name] for name in RunConfig._fields if name in args})
     try:
         record = command.report(args, cfg)
     except UsageError as exc:
@@ -825,7 +934,7 @@ def main(argv=None) -> int:
     except CacheCorruptError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 3
-    print(render(record, args.output_format, command))
+    print(render(record, args["output_format"], command))
     return 1 if record.get("failed", 0) > 0 else 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -422,6 +423,160 @@ def test_analyze_help_names_every_explicit_frame(capsys):
         assert label in out, label
 
 
+def test_program_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: framelat ")
+    for name, command in cli.COMMANDS.items():
+        assert f"  {name}" in out and command.help in out, name
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_names_its_own_arguments_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: framelat {command} ")
+    own = {arg.name for arg in cli.COMMANDS[command].arguments}
+    lines = out.splitlines()
+    for arg in (cli._FORMAT, *cli.COMMANDS[command].arguments):
+        assert any(line.split()[:1] == [arg.name] and arg.help in line for line in lines), arg.name
+    for other in cli.COMMANDS.values():
+        for arg in other.arguments:
+            if arg.name.startswith("--") and arg.name not in own:
+                assert arg.name not in out, (command, arg.name)
+
+
+def _reference_positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+_REFERENCE_CACHE_FLAGS = (
+    ("--cache", {"dest": "cache_path"}),
+    ("--no-cache", {"action": "store_true"}),
+)
+# each command's arguments declared to argparse on their own, not read from
+# cli.COMMANDS, so the reference does not share the table it checks
+REFERENCE_ARGUMENTS = {
+    "table1": _REFERENCE_CACHE_FLAGS,
+    "search": (("k", {"type": int}), *_REFERENCE_CACHE_FLAGS,
+               ("--allow-unverified", {"action": "store_true"})),
+    "analyze": (("selector", {}), *_REFERENCE_CACHE_FLAGS,
+                ("--allow-unverified", {"action": "store_true"})),
+    "verify-all": (*_REFERENCE_CACHE_FLAGS,
+                   ("--skip", {"action": "append", "default": [], "metavar": "LABEL"})),
+    "demo-nonlattice": (("steps", {"nargs": "?", "type": _reference_positive_int, "default": 12}),),
+}
+
+
+def build_parser(arguments=REFERENCE_ARGUMENTS):
+    """The argparse parser the CLI used, the reference for cli.parse_args."""
+    parser = argparse.ArgumentParser(prog="framelat")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command_arguments in arguments.items():
+        p = sub.add_parser(name)
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text",
+                       dest="output_format")
+        for arg, keywords in command_arguments:
+            p.add_argument(arg, **keywords)
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """The parsed values, or the exit code."""
+    try:
+        return parse(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+ARGV_CORPUS = [
+    (),
+    ("bogus",),
+    ("--format", "json", "table1"),
+    ("--help",),
+    ("table1",),
+    ("table1", "--format=csv"),
+    ("table1", "extra"),
+    ("table1", "--skip", "x"),
+    ("search", "5"),
+    ("search", "--format", "json", "13"),
+    ("search", "25", "--no"),
+    ("search", "3", "--allow", "--no-cache", "--cache", "dir"),
+    ("search", "-5"),
+    ("search", "--", "-5"),
+    ("search", "5", "--cache", "-"),
+    ("search", "5", "--cache", "-7"),
+    ("search", "five"),
+    ("search",),
+    ("search", "5", "6"),
+    ("search", "5", "--format", "xml"),
+    ("search", "5", "--cache"),
+    ("search", "5", "--cache", "--no-cache"),
+    ("search", "5", "--no-cache=yes"),
+    ("search", "5", "--zzz"),
+    ("search", "5", "-x"),
+    ("search", "--help"),
+    ("analyze", "--cache=dir", "simplex:3"),
+    ("analyze", "--f", "json", "simplex:4", "--format", "csv"),
+    ("analyze", "--", "-x"),
+    ("analyze",),
+    ("analyze", "simplex:3", "--skip", "x"),
+    ("analyze", "--he"),
+    ("verify-all", "--skip", "25x50", "--skip=13x26", "--no"),
+    ("verify-all", "--skip"),
+    ("verify-all", "--allow-unverified"),
+    ("demo-nonlattice",),
+    ("demo-nonlattice", "--format", "json", "5"),
+    ("demo-nonlattice", "5", "--format", "csv"),
+    ("demo-nonlattice", "0"),
+    ("demo-nonlattice", "-3"),
+    ("demo-nonlattice", "x"),
+    ("demo-nonlattice", "--cache", "x"),
+    ("demo-nonlattice", "-h"),
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_parse_args_agrees_with_argparse(capsys, argv):
+    # values and exit codes only: argparse's wording differs across Python versions
+    want = parse_outcome(lambda a: vars(build_parser().parse_args(a)), argv)
+    capsys.readouterr()
+    assert parse_outcome(cli.parse_args, argv) == want
+    if want == 2:
+        assert "error:" in capsys.readouterr().err
+
+
+def test_parse_args_rejects_an_ambiguous_prefix_as_argparse_does(monkeypatch, capsys):
+    # no two flags of the table share a prefix, so add one that does
+    extra = ("--skip-all", {"action": "store_true"})
+    reference = {**REFERENCE_ARGUMENTS, "verify-all": (*REFERENCE_ARGUMENTS["verify-all"], extra)}
+    verify = cli.COMMANDS["verify-all"]
+    monkeypatch.setitem(cli.COMMANDS, "verify-all", verify._replace(
+        arguments=(*verify.arguments, cli.Arg("--skip-all", "skip every check"))))
+    for argv in (("verify-all", "--ski"), ("verify-all", "--skip-a"), ("verify-all", "--skip", "x")):
+        want = parse_outcome(lambda a: vars(build_parser(reference).parse_args(a)), argv)
+        assert parse_outcome(cli.parse_args, argv) == want, argv
+    assert parse_outcome(cli.parse_args, ("verify-all", "--ski")) == 2
+    assert "ambiguous option" in capsys.readouterr().err
+
+
+def test_a_command_loads_neither_argparse_nor_gettext_nor_locale(tmp_path):
+    src = os.path.dirname(os.path.dirname(framelat.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import framelat.cli; "
+            "framelat.cli.main(['analyze', 'simplex:3', '--format', 'json']); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_cli_import_loads_no_numpy():
     src = os.path.dirname(os.path.dirname(framelat.__file__))
     code = "import sys, framelat.cli; print('numpy' in sys.modules)"
@@ -524,6 +679,16 @@ def test_verify_checks_analyze_each_distinct_gram_once(monkeypatch, label, disti
     ok, detail = dict(cli.verification_checks(cli.RunConfig()))[label]()
     assert ok, detail
     assert len(calls) == distinct
+
+
+def test_13x26_check_compares_only_the_distinct_grams(monkeypatch):
+    # twelve frames, three distinct basis Grams: classes are taken over those three
+    compared = []
+    real = lattice.equivalence_classes
+    monkeypatch.setattr(lattice, "equivalence_classes", lambda grams: compared.append(len(grams)) or real(grams))
+    ok, detail = dict(cli.verification_checks(cli.RunConfig()))["13x26"]()
+    assert ok, detail
+    assert compared == [3]
 
 
 def conference_13(selector):
